@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 #include "common/md5.hpp"
 #include "common/rng.hpp"
@@ -459,20 +460,20 @@ class MixedRwScenario final : public Scenario {
   double run_once(Workspace& ws) override {
     const Scale s = scale_for(ws);
     const std::string path = ws.dir + "/mixed." + std::to_string(rep_++);
-    // Untimed: populate the base file (sequential seeded content).
+    // Untimed: populate the base file (sequential seeded content) and keep
+    // its image, which every read of the stream is checked against.
+    std::vector<std::byte> image(s.mixed_bytes);
     {
       auto fd = plfs::plfs_open(path, O_CREAT | O_WRONLY, 1);
       if (!fd) die(name(), "plfs_open(base)");
-      std::vector<std::byte> base(1u << 20);
       std::uint64_t off = 0;
       Rng rng(ws.seed ^ 0x6d69786564ULL);  // "mixed"
       while (off < s.mixed_bytes) {
         const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(base.size(), s.mixed_bytes - off));
-        fill_payload({base.data(), n}, rng.next());
-        if (!fd.value()->write({base.data(), n}, off, 1)) {
-          die(name(), "write(base)");
-        }
+            std::min<std::uint64_t>(1u << 20, s.mixed_bytes - off));
+        const std::span<std::byte> block(image.data() + off, n);
+        fill_payload(block, rng.next());
+        if (!fd.value()->write(block, off, 1)) die(name(), "write(base)");
         off += n;
       }
       if (!plfs::plfs_close(fd.value(), 1).ok()) die(name(), "close(base)");
@@ -480,23 +481,34 @@ class MixedRwScenario final : public Scenario {
     const auto stream = workloads::make_mixed_rw(
         s.mixed_bytes, s.mixed_ops, 64 * 1024, 0.5, ws.seed);
     std::vector<std::byte> buf(64 * 1024);
+    Clock::duration checking{};  // kept out of the timed result
     const auto start = Clock::now();
     auto fd = plfs::plfs_open(path, O_RDWR, 1);
     if (!fd) die(name(), "plfs_open(rw)");
     for (const auto& op : stream) {
+      std::byte* const at = image.data() + op.offset;
       if (op.is_read) {
-        if (!fd.value()->read({buf.data(), op.length}, op.offset)) {
-          die(name(), "read");
+        auto n = fd.value()->read({buf.data(), op.length}, op.offset);
+        if (!n) die(name(), "read");
+        const auto check = Clock::now();
+        if (n.value() != op.length ||
+            std::memcmp(buf.data(), at, op.length) != 0) {
+          die(name(), "read check");
         }
+        checking += Clock::now() - check;
       } else {
         fill_payload({buf.data(), op.length}, op.fill_seed);
         if (!fd.value()->write({buf.data(), op.length}, op.offset, 1)) {
           die(name(), "write");
         }
+        const auto check = Clock::now();
+        std::memcpy(at, buf.data(), op.length);
+        checking += Clock::now() - check;
       }
     }
     if (!plfs::plfs_close(fd.value(), 1).ok()) die(name(), "close");
-    return seconds_since(start);
+    return seconds_since(start) -
+           std::chrono::duration<double>(checking).count();
   }
 
   [[nodiscard]] std::map<std::string, double> extras(
@@ -510,9 +522,41 @@ class MixedRwScenario final : public Scenario {
 
 // --- unix_tools (Table II) ------------------------------------------------
 
+/// grep -c NEEDLE over a stream fed in arbitrary chunks: counts the
+/// newline-terminated lines that contain NEEDLE.
+class NeedleCounter {
+ public:
+  void feed(std::string_view chunk) {
+    std::size_t pos = 0;
+    while (true) {
+      const std::size_t nl = chunk.find('\n', pos);
+      if (nl == std::string_view::npos) {
+        carry_.append(chunk.substr(pos));
+        return;
+      }
+      if (!carry_.empty()) {
+        // A line spanning a chunk boundary.
+        carry_.append(chunk.substr(pos, nl - pos));
+        if (carry_.find("NEEDLE") != std::string::npos) ++hits_;
+        carry_.clear();
+      } else if (chunk.substr(pos, nl - pos).find("NEEDLE") !=
+                 std::string_view::npos) {
+        ++hits_;
+      }
+      pos = nl + 1;
+    }
+  }
+  [[nodiscard]] long long hits() const { return hits_; }
+
+ private:
+  long long hits_ = 0;
+  std::string carry_;
+};
+
 /// Shared scaffolding: a router whose mount table covers ws.dir/mnt, a
 /// text container at mnt/data (NEEDLE lines every ~512), and a flat
-/// destination area outside the mount.
+/// destination area outside the mount. Setup also records the content's
+/// NEEDLE line count and MD5, which the tools' results must match.
 class UnixToolScenario : public Scenario {
  public:
   [[nodiscard]] const char* family() const override { return "unix_tools"; }
@@ -533,6 +577,8 @@ class UnixToolScenario : public Scenario {
     if (fd < 0) die(name(), "open(src)");
     Rng rng(ws.seed);
     std::vector<char> block(1u << 20);
+    NeedleCounter needles;
+    Md5 hasher;
     std::uint64_t written = 0;
     while (written < bytes_) {
       for (std::size_t i = 0; i < block.size(); i += 64) {
@@ -548,9 +594,13 @@ class UnixToolScenario : public Scenario {
       if (router_->write(fd, block.data(), n) != static_cast<ssize_t>(n)) {
         die(name(), "write(src)");
       }
+      needles.feed({block.data(), n});
+      hasher.update(block.data(), n);
       written += n;
     }
     if (router_->close(fd) != 0) die(name(), "close(src)");
+    expected_hits_ = needles.hits();
+    expected_md5_ = Md5::to_hex(hasher.finish());
   }
 
   void teardown(Workspace&) override { router_.reset(); }
@@ -567,6 +617,8 @@ class UnixToolScenario : public Scenario {
   std::string flat_;
   std::string src_;
   std::uint64_t bytes_ = 0;
+  long long expected_hits_ = 0;
+  std::string expected_md5_;
 };
 
 class UnixCpScenario final : public UnixToolScenario {
@@ -606,37 +658,17 @@ class UnixGrepScenario final : public UnixToolScenario {
     const auto start = Clock::now();
     const int fd = router_->open(src_.c_str(), O_RDONLY, 0);
     if (fd < 0) die(name(), "open");
-    long long hits = 0;
-    std::string carry;  // partial line spanning a buffer boundary
+    NeedleCounter needles;
     ssize_t n;
     while ((n = router_->read(fd, buf.data(), buf.size())) > 0) {
-      std::string_view chunk(buf.data(), static_cast<std::size_t>(n));
-      std::size_t pos = 0;
-      while (true) {
-        const std::size_t nl = chunk.find('\n', pos);
-        if (nl == std::string_view::npos) {
-          carry.append(chunk.substr(pos));
-          break;
-        }
-        if (!carry.empty()) {
-          carry.append(chunk.substr(pos, nl - pos));
-          if (carry.find("NEEDLE") != std::string::npos) ++hits;
-          carry.clear();
-        } else if (chunk.substr(pos, nl - pos).find("NEEDLE") !=
-                   std::string_view::npos) {
-          ++hits;
-        }
-        pos = nl + 1;
-      }
+      needles.feed({buf.data(), static_cast<std::size_t>(n)});
     }
     if (n < 0) die(name(), "read");
     router_->close(fd);
-    hits_ = hits;
-    return seconds_since(start);
+    const double elapsed = seconds_since(start);
+    if (needles.hits() != expected_hits_) die(name(), "hit count check");
+    return elapsed;
   }
-
- private:
-  long long hits_ = 0;
 };
 
 class UnixMd5Scenario final : public UnixToolScenario {
@@ -655,12 +687,11 @@ class UnixMd5Scenario final : public UnixToolScenario {
     }
     if (n < 0) die(name(), "read");
     router_->close(fd);
-    digest_ = Md5::to_hex(hasher.finish());
-    return seconds_since(start);
+    const std::string digest = Md5::to_hex(hasher.finish());
+    const double elapsed = seconds_since(start);
+    if (digest != expected_md5_) die(name(), "digest check");
+    return elapsed;
   }
-
- private:
-  std::string digest_;
 };
 
 // --- crash_recovery -------------------------------------------------------

@@ -3,12 +3,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <ctime>
-
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -46,6 +46,22 @@ std::string current_dir() {
   char buf[4096];
   if (::getcwd(buf, sizeof buf) == nullptr) return "/";
   return buf;
+}
+
+/// The process umask, read without changing it. umask(2) can only read it
+/// by setting it, which races with creates on other threads; Linux reports
+/// it in /proc/self/status since 4.7. Without that line no mask applies.
+mode_t current_umask(const RealCalls& real) {
+  const int fd = real.open("/proc/self/status", O_RDONLY | O_CLOEXEC, 0);
+  if (fd < 0) return 0;
+  char buf[4096];
+  const ssize_t n = real.read(fd, buf, sizeof buf - 1);
+  real.close(fd);
+  if (n <= 0) return 0;
+  buf[n] = '\0';
+  const char* line = std::strstr(buf, "\nUmask:");
+  if (line == nullptr) return 0;
+  return static_cast<mode_t>(std::strtoul(line + 7, nullptr, 8) & 0777);
 }
 
 }  // namespace
@@ -164,7 +180,8 @@ int Router::open(const char* path, int flags, mode_t mode) {
   }
   if ((flags & O_CREAT) != 0 && (flags & O_DIRECTORY) == 0) {
     stats::add(stats::Counter::kRouterOpenRouted);
-    return open_plfs(where, flags, mode);
+    // A create takes the umask off the mode, as open(2) does.
+    return open_plfs(where, flags, mode & ~current_umask(real_));
   }
   timer.cancel();
   stats::add(stats::Counter::kRouterOpenPassthrough);
@@ -205,10 +222,10 @@ Result<std::uint64_t> Router::append_eof(OpenFile& of) {
   // One process can hold several independent opens of the same logical
   // file (each with its own writer streams and write-behind buffers).
   // Appending at *this* handle's size() would place the bytes at a stale
-  // EOF whenever a sibling handle holds a larger buffered tail. Drain and
-  // take the max over every open handle: size() is a drain barrier per
-  // handle, and the calls run sequentially, so the max is the true
-  // EOF-at-flush-time the append must land at.
+  // EOF whenever a sibling handle holds a larger buffered tail. Take the
+  // max over every open handle: size() drains each handle's writers into
+  // its own snapshot (no index write, no fsync), and the calls run
+  // sequentially, so the max is the true EOF the append must land at.
   auto eof = of.handle().size();
   if (!eof) return eof.error();
   std::uint64_t max_eof = eof.value();
@@ -575,6 +592,27 @@ void Router::fill_stat(struct ::stat* st, const plfs::FileAttr& attr,
   st->st_ctime = attr.mtime;
 }
 
+Result<plfs::FileAttr> Router::open_attr(OpenFile& of) {
+  // Unflushed records (and, under write-behind, data still coalescing in
+  // the aggregation buffer) make the on-disk index lag; take the size from
+  // the live handle instead, the way the kernel answers stat from the
+  // in-memory inode. size() drains the writers, so the answer includes
+  // every acknowledged byte.
+  auto size = of.handle().size();
+  if (!size) return size.error();
+  // Mode and mtime come from the container, as for a closed file (an
+  // unlinked one keeps the defaults). Writes not yet closed have not
+  // touched it, so the mtime is raised to the newest write or truncate
+  // through any handle this process holds open on the file.
+  const std::string& path = of.handle().path();
+  plfs::FileAttr attr = plfs::plfs_getattr(path).value_or(plfs::FileAttr{});
+  attr.size = size.value();
+  for (const auto& open_file : table_.find_all_by_path(path)) {
+    attr.mtime = std::max(attr.mtime, open_file->handle().modified());
+  }
+  return attr;
+}
+
 int Router::stat(const char* path, struct ::stat* st) {
   const Resolved where = resolve(path);
   if (!where.in_mount || !plfs::plfs_is_container(where.path)) {
@@ -582,19 +620,10 @@ int Router::stat(const char* path, struct ::stat* st) {
     return real_.stat(path, st);
   }
   stats::add(stats::Counter::kRouterStatRouted);
-  // If this process has the file open for writing, unflushed records (and,
-  // under write-behind, data still coalescing in the aggregation buffer)
-  // make the on-disk index lag; answer from the live handle instead, the
-  // way the kernel answers stat from the in-memory inode. size() drains the
-  // writers, so the answer includes every acknowledged byte.
   if (auto open_file = table_.find_by_path(where.path)) {
-    auto size = open_file->handle().size();
-    if (!size) return fail(size.error());
-    plfs::FileAttr attr;
-    attr.size = size.value();
-    auto disk = plfs::plfs_getattr(where.path);
-    if (disk) attr.mode = disk.value().mode;
-    fill_stat(st, attr, where.path);
+    auto attr = open_attr(*open_file);
+    if (!attr) return fail(attr.error());
+    fill_stat(st, attr.value(), where.path);
     return 0;
   }
   auto attr = plfs::plfs_getattr(where.path);
@@ -615,19 +644,9 @@ int Router::fstat(int fd, struct ::stat* st) {
     return real_.fstat(fd, st);
   }
   stats::add(stats::Counter::kRouterStatRouted);
-  // size() is a drain barrier over this handle's writers (see stat()), so
-  // fstat after a burst of buffered writes reports the true logical size.
-  auto size = of->handle().size();
-  if (!size) return fail(size.error());
-  plfs::FileAttr attr;
-  attr.size = size.value();
-  attr.mtime = ::time(nullptr);  // file is open and live
-  // The container's creator file records the real mode; don't fabricate a
-  // default for open files when stat() on the same path would not.
-  if (auto disk = plfs::plfs_getattr(of->handle().path())) {
-    attr.mode = disk.value().mode;
-  }
-  fill_stat(st, attr, of->handle().path());
+  auto attr = open_attr(*of);
+  if (!attr) return fail(attr.error());
+  fill_stat(st, attr.value(), of->handle().path());
   return 0;
 }
 

@@ -92,9 +92,14 @@ class Router {
   int open_plfs(const Resolved& where, int flags, mode_t mode);
   /// EOF for an O_APPEND write through `of`: the maximum size over every
   /// open handle for the path. Each size() call drains that handle's
-  /// write-behind buffers, so the result is EOF-at-flush-time — a second
-  /// appender's buffered bytes can no longer be silently overwritten.
+  /// write-behind buffers into its own snapshot, so a second appender's
+  /// buffered bytes can no longer be silently overwritten.
   Result<std::uint64_t> append_eof(OpenFile& of);
+  /// Attributes of a container this process holds open through `of`, for
+  /// stat and fstat alike: the live handle's size, plfs_getattr's mode and
+  /// mtime, the mtime raised to the last write or truncate through any
+  /// open handle of the path.
+  Result<plfs::FileAttr> open_attr(OpenFile& of);
   /// Fill a stat answer for a logical file; `backend_path` seeds the
   /// synthesized (st_dev, st_ino) identity.
   void fill_stat(struct ::stat* st, const plfs::FileAttr& attr,

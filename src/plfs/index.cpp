@@ -23,9 +23,21 @@ struct TaggedRecord {
   std::uint32_t source = 0;  // tie-break for equal timestamps
 };
 
+/// Authority order: ascending timestamp, ties broken by source.
+void sort_by_stamp(std::vector<TaggedRecord>& tagged) {
+  std::stable_sort(tagged.begin(), tagged.end(),
+                   [](const TaggedRecord& a, const TaggedRecord& b) {
+                     if (a.rec.timestamp != b.rec.timestamp) {
+                       return a.rec.timestamp < b.rec.timestamp;
+                     }
+                     return a.source < b.source;
+                   });
+}
+
 }  // namespace
 
 void GlobalIndex::apply(const IndexRecord& rec, std::uint32_t global_ref) {
+  newest_stamp_ = std::max(newest_stamp_, rec.timestamp);
   if (rec.kind == static_cast<std::uint32_t>(RecordKind::kTruncate)) {
     extents_.truncate(rec.length);
     logical_size_ = rec.length;
@@ -62,15 +74,32 @@ GlobalIndex GlobalIndex::merge(const std::vector<IndexDropping>& sources) {
       tagged.push_back({rec, global_ref, src});
     }
   }
-  std::stable_sort(tagged.begin(), tagged.end(),
-                   [](const TaggedRecord& a, const TaggedRecord& b) {
-                     if (a.rec.timestamp != b.rec.timestamp) {
-                       return a.rec.timestamp < b.rec.timestamp;
-                     }
-                     return a.source < b.source;
-                   });
+  sort_by_stamp(tagged);
   for (const auto& t : tagged) index.apply(t.rec, t.global_ref);
   return index;
+}
+
+bool GlobalIndex::can_patch(std::span<const WriterRecords> batches) const {
+  for (const auto& batch : batches) {
+    for (const auto& rec : batch.records) {
+      if (rec.timestamp <= newest_stamp_) return false;
+    }
+  }
+  return true;
+}
+
+void GlobalIndex::patch(std::span<const WriterRecords> batches) {
+  std::vector<TaggedRecord> tagged;
+  for (std::uint32_t src = 0; src < batches.size(); ++src) {
+    const auto& batch = batches[src];
+    const auto known =
+        std::find(data_paths_.begin(), data_paths_.end(), batch.data_path);
+    const auto ref = static_cast<std::uint32_t>(known - data_paths_.begin());
+    if (known == data_paths_.end()) data_paths_.push_back(batch.data_path);
+    for (const auto& rec : batch.records) tagged.push_back({rec, ref, src});
+  }
+  sort_by_stamp(tagged);
+  for (const auto& t : tagged) apply(t.rec, t.global_ref);
 }
 
 Result<GlobalIndex> GlobalIndex::build(const std::string& container_root) {
@@ -116,6 +145,7 @@ IndexWriter::IndexWriter(IndexWriter&& other) noexcept
     : index_path_(std::move(other.index_path_)),
       fd_(std::exchange(other.fd_, -1)),
       pending_(std::move(other.pending_)),
+      published_(other.published_),
       records_written_(other.records_written_),
       deferred_errno_(other.deferred_errno_) {}
 
@@ -125,6 +155,7 @@ IndexWriter& IndexWriter::operator=(IndexWriter&& other) noexcept {
     index_path_ = std::move(other.index_path_);
     fd_ = std::exchange(other.fd_, -1);
     pending_ = std::move(other.pending_);
+    published_ = other.published_;
     records_written_ = other.records_written_;
     deferred_errno_ = other.deferred_errno_;
   }
@@ -174,6 +205,7 @@ void IndexWriter::add_write(std::uint64_t offset, std::uint64_t length,
       last.length += length;
       last.timestamp = timestamp;
       pending_last_stamp_ = timestamp;
+      published_ = std::min(published_, pending_.size() - 1);  // republish
       return;
     }
   }
@@ -204,6 +236,14 @@ void IndexWriter::add_truncate(std::uint64_t size, std::uint64_t timestamp) {
   pending_last_stamp_ = timestamp;
 }
 
+std::vector<IndexRecord> IndexWriter::take_unpublished() {
+  std::vector<IndexRecord> out(
+      pending_.begin() + static_cast<std::ptrdiff_t>(published_),
+      pending_.end());
+  published_ = pending_.size();
+  return out;
+}
+
 Status IndexWriter::flush() {
   if (deferred_errno_ != 0) return Errno{deferred_errno_};
   if (fd_ < 0) return Errno{EBADF};
@@ -217,10 +257,12 @@ Status IndexWriter::flush() {
     // misalign everything after it. Poison the writer instead (see header).
     deferred_errno_ = s.error_code();
     pending_.clear();
+    published_ = 0;
     return s;
   }
   records_written_ += pending_.size();
   pending_.clear();
+  published_ = 0;
   return Status::success();
 }
 

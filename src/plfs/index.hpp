@@ -12,6 +12,14 @@
 
 namespace ldplfs::plfs {
 
+/// Index records one writer stream made readable, with the data dropping
+/// they describe (path relative to the container root, as in the path
+/// table). What a writing handle patches its own snapshot with.
+struct WriterRecords {
+  std::string data_path;
+  std::vector<IndexRecord> records;
+};
+
 /// The merged view of every index dropping in a container: an extent map
 /// over data droppings plus the logical file size (which can exceed the
 /// mapped extent after truncate-up, and can be cut below it by truncate-down).
@@ -28,6 +36,16 @@ class GlobalIndex {
 
   [[nodiscard]] std::uint64_t size() const { return logical_size_; }
   [[nodiscard]] const ExtentMap& extent_map() const { return extents_; }
+
+  /// True when patch(batches) gives exactly what merge() would over the
+  /// same records: every record is newer than the newest stamp applied so
+  /// far, so it sorts after everything already applied (ExtentMap::insert
+  /// needs ascending stamps).
+  [[nodiscard]] bool can_patch(std::span<const WriterRecords> batches) const;
+
+  /// Apply `batches` on top of the merged state, in stamp order across
+  /// batches. The caller checked can_patch().
+  void patch(std::span<const WriterRecords> batches);
 
   /// Data-dropping paths (relative to the container root); MappedPiece /
   /// Extent `dropping` ids index into this table.
@@ -48,6 +66,7 @@ class GlobalIndex {
 
   ExtentMap extents_;
   std::uint64_t logical_size_ = 0;
+  std::uint64_t newest_stamp_ = 0;  // newest record stamp applied
   std::vector<std::string> data_paths_;
 };
 
@@ -89,6 +108,12 @@ class IndexWriter {
   /// Record a truncate to `size`.
   void add_truncate(std::uint64_t size, std::uint64_t timestamp);
 
+  /// Buffered records added since the last take_unpublished() or flush(),
+  /// for a writer that patches its own index snapshot instead of flushing.
+  /// A record that coalescing extended since then comes back again: its
+  /// stamp is newer, so applying it on top of the old one is exact.
+  std::vector<IndexRecord> take_unpublished();
+
   /// Batched append for the write-behind engine: records staged against an
   /// aggregation buffer land here in one call once the data flush that
   /// covers them has completed. Re-coalesces across the batch boundary and
@@ -129,6 +154,8 @@ class IndexWriter {
   // separately so continuation merges can test block adjacency even after
   // pending_ is flushed away.
   std::uint64_t pending_last_stamp_ = 0;
+  // Prefix of pending_ that take_unpublished() already returned.
+  std::size_t published_ = 0;
   std::uint64_t records_written_ = 0;
   int deferred_errno_ = 0;
 };

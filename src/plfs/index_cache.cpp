@@ -36,6 +36,50 @@ Result<IndexCache::Fingerprint> IndexCache::fingerprint(
   return fp;
 }
 
+Result<IndexCache::Probe> IndexCache::probe(const std::string& root) {
+  // Read the shared generation BEFORE validating or building: a bump that
+  // lands between this load and the build only makes the cached entry look
+  // stale earlier than necessary — never fresh when it isn't. With the
+  // shared plane active for this root, that one atomic load replaces the
+  // list-every-hostdir + stat-every-dropping fingerprint storm.
+  Probe probe;
+  probe.gen = shmeta::generation(root);
+  if (!probe.gen.has_value()) {
+    auto fp = fingerprint(root);
+    if (!fp) return fp.error();
+    probe.fp = std::move(fp).value();
+  }
+
+  std::lock_guard lock(mu_);
+  auto it = map_.find(root);
+  if (it == map_.end()) return probe;
+  const Entry& entry = it->second.first;
+  const bool fresh = probe.gen.has_value()
+                         ? entry.gen_valid && entry.gen == *probe.gen
+                         : entry.fp == probe.fp;
+  if (!fresh) {
+    if (probe.gen.has_value()) stats::add(stats::Counter::kShmGenStale);
+    return probe;
+  }
+  lru_.splice(lru_.begin(), lru_, it->second.second);
+  it->second.second = lru_.begin();
+  ++stats_.hits;
+  stats::add(stats::Counter::kCacheIndexHit);
+  if (probe.gen.has_value()) {
+    stats::add(stats::Counter::kShmGenHit);
+    stats::add(stats::Counter::kShmStatSkipped);
+  }
+  probe.fresh = entry.index;
+  return probe;
+}
+
+bool IndexCache::serves(const std::string& root,
+                        const std::shared_ptr<const GlobalIndex>& snapshot) {
+  if (!enabled()) return false;
+  auto found = probe(root);
+  return found && found.value().fresh == snapshot;
+}
+
 Result<std::shared_ptr<const GlobalIndex>> IndexCache::get(
     const std::string& root) {
   if (!enabled()) {
@@ -44,42 +88,9 @@ Result<std::shared_ptr<const GlobalIndex>> IndexCache::get(
     return std::make_shared<const GlobalIndex>(std::move(index).value());
   }
 
-  // Read the shared generation BEFORE validating or building: a bump that
-  // lands between this load and the build only makes the cached entry look
-  // stale earlier than necessary — never fresh when it isn't.
-  const std::optional<std::uint64_t> gen = shmeta::generation(root);
-
-  Fingerprint fp_value;
-  if (gen.has_value()) {
-    // Shared plane active for this root: one atomic load replaces the
-    // list-every-hostdir + stat-every-dropping fingerprint storm.
-    std::lock_guard lock(mu_);
-    auto it = map_.find(root);
-    if (it != map_.end() && it->second.first.gen_valid &&
-        it->second.first.gen == *gen) {
-      lru_.splice(lru_.begin(), lru_, it->second.second);
-      it->second.second = lru_.begin();
-      ++stats_.hits;
-      stats::add(stats::Counter::kCacheIndexHit);
-      stats::add(stats::Counter::kShmGenHit);
-      stats::add(stats::Counter::kShmStatSkipped);
-      return it->second.first.index;
-    }
-    if (it != map_.end()) stats::add(stats::Counter::kShmGenStale);
-  } else {
-    auto fp = fingerprint(root);
-    if (!fp) return fp.error();
-    fp_value = std::move(fp).value();
-    std::lock_guard lock(mu_);
-    auto it = map_.find(root);
-    if (it != map_.end() && it->second.first.fp == fp_value) {
-      lru_.splice(lru_.begin(), lru_, it->second.second);
-      it->second.second = lru_.begin();
-      ++stats_.hits;
-      stats::add(stats::Counter::kCacheIndexHit);
-      return it->second.first.index;
-    }
-  }
+  auto found = probe(root);
+  if (!found) return found.error();
+  if (found.value().fresh) return found.value().fresh;
 
   // Build outside the lock: merges are the expensive part and distinct
   // containers must not serialise on each other. A racing build of the
@@ -89,7 +100,8 @@ Result<std::shared_ptr<const GlobalIndex>> IndexCache::get(
   auto shared_index =
       std::make_shared<const GlobalIndex>(std::move(index).value());
 
-  Entry entry{std::move(fp_value), shared_index, gen.value_or(0),
+  const auto gen = found.value().gen;
+  Entry entry{std::move(found.value().fp), shared_index, gen.value_or(0),
               gen.has_value()};
 
   std::lock_guard lock(mu_);

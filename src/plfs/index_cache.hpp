@@ -26,6 +26,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -49,6 +50,13 @@ class IndexCache {
   /// rebuilt (and re-cached) otherwise. With the cache disabled this is
   /// exactly GlobalIndex::build.
   Result<std::shared_ptr<const GlobalIndex>> get(const std::string& root);
+
+  /// True when get(root) would hand back `snapshot` itself: the entry for
+  /// `root` is cached, still fresh, and is that snapshot. Never builds. A
+  /// writing handle asks this to learn that nothing outside it changed the
+  /// container since its snapshot was taken.
+  bool serves(const std::string& root,
+              const std::shared_ptr<const GlobalIndex>& snapshot);
 
   /// Drop the entry for `root` (exact key).
   void invalidate(const std::string& root);
@@ -81,8 +89,16 @@ class IndexCache {
     bool gen_valid = false;
   };
   using LruList = std::list<std::string>;  // front = most recently used
+  /// What a validation of `root` found: the fresh cached index (null on a
+  /// miss) and the state a rebuild records in its entry.
+  struct Probe {
+    std::shared_ptr<const GlobalIndex> fresh;
+    Fingerprint fp;  // filled only when the shared plane is off
+    std::optional<std::uint64_t> gen;
+  };
 
   static Result<Fingerprint> fingerprint(const std::string& root);
+  Result<Probe> probe(const std::string& root);
 
   mutable std::mutex mu_;
   std::size_t capacity_;

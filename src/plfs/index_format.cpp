@@ -55,8 +55,10 @@ Result<IndexDropping> decode_index_dropping(const std::string& bytes) {
   const std::size_t whole = record_bytes / sizeof(IndexRecord);
   out.torn_tail_bytes = record_bytes - whole * sizeof(IndexRecord);
   out.records.resize(whole);
-  std::memcpy(out.records.data(), bytes.data() + pos,
-              whole * sizeof(IndexRecord));
+  if (whole > 0) {  // memcpy into an empty vector's null data() is UB
+    std::memcpy(out.records.data(), bytes.data() + pos,
+                whole * sizeof(IndexRecord));
+  }
   for (const auto& rec : out.records) {
     if (rec.kind == static_cast<std::uint32_t>(RecordKind::kData) &&
         rec.dropping_ref >= out.data_paths.size()) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <set>
 
 #include "common/logging.hpp"
@@ -81,11 +82,6 @@ void maybe_auto_flatten(const std::string& path) {
   });
 }
 
-/// How many writes may accumulate before a read re-snapshots the index.
-/// Any write invalidates the snapshot; the counter exists only to avoid
-/// rebuilding when nothing changed.
-constexpr std::uint64_t kAlwaysRefresh = 0;
-
 std::string writer_host(const OpenOptions& opts) {
   return opts.host_override.empty() ? local_hostname() : opts.host_override;
 }
@@ -125,30 +121,57 @@ Result<std::size_t> FileHandle::write(std::span<const std::byte> data,
   auto writer = writer_for(pid);
   if (!writer) return writer.error();
   auto n = writer.value()->write(data, offset);
-  if (n) ++writes_since_snapshot_;
+  if (n) modified_ = ::time(nullptr);
   return n;
 }
 
-Status FileHandle::flush_writers_locked() {
-  // sync() is a drain barrier: it empties each writer's write-behind
-  // aggregation buffer into the log *and* flushes the index records, so a
-  // snapshot taken after this sees every acknowledged byte (read-your-writes
-  // holds even while appends are still coalescing in user space).
+Result<ReadFile*> FileHandle::reader_locked() {
+  // Read-your-writes needs visibility, not durability: each writer drains
+  // its write-behind buffer and hands over the index records readable since
+  // the last call, and they patch a private copy of the snapshot.
+  const bool stale = rebuild_;
+  std::vector<WriterRecords> fresh;
   for (auto& [pid, writer] : writers_) {
-    if (auto s = writer->sync(); !s) return s;
+    auto published = writer->publish();
+    if (!published) return published.error();
+    if (!published.value().records.empty()) {
+      // Held nowhere a later read looks until the patch below lands: if
+      // anything fails first, the next read rebuilds from disk instead.
+      rebuild_ = true;
+      fresh.push_back(std::move(published).value());
+    }
   }
-  return Status::success();
+  if (stale) return rebuild_locked();
+  // The patch equals a full merge while (1) the cache still serves the
+  // snapshot this reader was built on, i.e. nothing outside this handle
+  // changed the container, and (2) every record sorts after the snapshot's
+  // newest. A first read has published nothing before, so its new snapshot
+  // lacks exactly the records that are not yet in the index droppings.
+  if (!reader_) {
+    auto rf = ReadFile::open(path_);
+    if (!rf) return rf.error();
+    reader_ = std::move(rf).value();
+  } else if (fresh.empty()) {
+    return reader_.get();
+  } else if (!IndexCache::shared().serves(path_, reader_->base())) {
+    return rebuild_locked();
+  }
+  if (!reader_->index().can_patch(fresh)) return rebuild_locked();
+  reader_->patch(fresh);
+  rebuild_ = false;
+  return reader_.get();
 }
 
-Result<ReadFile*> FileHandle::reader_locked() {
-  if (reader_ && writes_since_snapshot_ == kAlwaysRefresh) {
-    return reader_.get();
+Result<ReadFile*> FileHandle::rebuild_locked() {
+  // Write every pending record (earlier patches included) to the index
+  // droppings, bump the generation, and merge once from disk.
+  for (auto& [pid, writer] : writers_) {
+    if (auto s = writer->flush_index(); !s) return s.error();
   }
-  if (auto s = flush_writers_locked(); !s) return s.error();
   auto rf = ReadFile::open(path_);
   if (!rf) return rf.error();
   reader_ = std::move(rf).value();
-  writes_since_snapshot_ = 0;
+  rebuild_ = false;
   return reader_.get();
 }
 
@@ -185,9 +208,9 @@ Result<std::size_t> FileHandle::writex(std::span<const WriteSegment> segs,
       if (total > 0) break;  // partial success: report what landed
       return n.error();
     }
-    ++writes_since_snapshot_;
     total += n.value();
   }
+  if (total > 0) modified_ = ::time(nullptr);
   return total;
 }
 
@@ -195,6 +218,9 @@ Status FileHandle::sync(pid_t pid) {
   std::lock_guard lock(mu_);
   auto it = writers_.find(pid);
   if (it == writers_.end()) return Status::success();
+  // The stream's unpublished records reach the index dropping and will not
+  // be published: the next read rebuilds from disk.
+  rebuild_ = true;
   return it->second->sync();
 }
 
@@ -205,8 +231,10 @@ Status FileHandle::close(pid_t pid) {
     Status s = it->second->close();
     writers_.erase(it);
     // Writer close changed the on-disk index (flush + metadata hint); other
-    // handles must re-merge rather than serve the pre-close snapshot.
+    // handles must re-merge rather than serve the pre-close snapshot, and so
+    // must this one: the stream's unpublished records are gone with it.
     IndexCache::shared().invalidate(path_);
+    rebuild_ = true;
     return s;
   }
   return Status::success();
@@ -224,8 +252,9 @@ Status FileHandle::truncate(std::uint64_t size, pid_t pid) {
   std::lock_guard lock(mu_);
   auto writer = writer_for(pid);
   if (!writer) return writer.error();
-  ++writes_since_snapshot_;
+  rebuild_ = true;  // as in sync(): the records reach the index dropping
   if (auto s = writer.value()->truncate(size); !s) return s;
+  modified_ = ::time(nullptr);
   // Sibling writer streams on this handle must not later re-advertise a
   // pre-truncate EOF in their metadata hints.
   for (auto& [other_pid, other] : writers_) {

@@ -66,8 +66,13 @@ class FileHandle {
   Result<std::size_t> write(std::span<const std::byte> data,
                             std::uint64_t offset, pid_t pid);
 
-  /// Positional read (paper: plfs_read). Sees this handle's own writes:
-  /// writers are flushed and the index snapshot refreshed when stale.
+  /// Positional read (paper: plfs_read). Sees this handle's own writes
+  /// without making them durable or visible elsewhere: the writers drain
+  /// their write-behind buffers and publish their new index records, which
+  /// patch this handle's private copy of the index snapshot. The snapshot
+  /// is rebuilt, after writing the pending index records, only when a
+  /// patch could differ from a full merge: something outside this handle
+  /// changed the container, or a record is not newer than the snapshot.
   Result<std::size_t> read(std::span<std::byte> out, std::uint64_t offset);
 
   /// List-I/O batch read (plfs_readx): every segment is served from ONE
@@ -91,16 +96,26 @@ class FileHandle {
   /// Close `pid`'s writer stream; final close releases everything.
   Status close(pid_t pid);
 
-  /// Current logical size as seen through this handle (flushes writers).
+  /// Current logical size as seen through this handle: the same snapshot
+  /// and barrier as read(), so it counts every acknowledged byte.
   Result<std::uint64_t> size();
+
+  /// Wall-clock time of the last write or truncate through this handle
+  /// (0 when none).
+  [[nodiscard]] time_t modified() {
+    std::lock_guard lock(mu_);
+    return modified_;
+  }
 
   /// Record a truncation through this handle.
   Status truncate(std::uint64_t size, pid_t pid);
 
  private:
   Result<WriteFile*> writer_for(pid_t pid);
-  Status flush_writers_locked();
   Result<ReadFile*> reader_locked();
+  /// Fallback of reader_locked(): write every writer's pending index
+  /// records, bump the generation, and rebuild the snapshot from disk.
+  Result<ReadFile*> rebuild_locked();
 
   std::mutex mu_;
   std::string path_;
@@ -108,7 +123,12 @@ class FileHandle {
   OpenOptions opts_;
   std::map<pid_t, std::unique_ptr<WriteFile>> writers_;
   std::unique_ptr<ReadFile> reader_;
-  std::uint64_t writes_since_snapshot_ = 0;
+  // The next read rebuilds the snapshot from disk: a writer wrote its
+  // records to the index dropping (sync, truncate, close) rather than
+  // publishing them, or a read published records and failed before
+  // patching them in.
+  bool rebuild_ = false;
+  time_t modified_ = 0;
   int shm_slot_ = -1;  // shared-plane writer slot (-1: read-only/plane off)
 };
 

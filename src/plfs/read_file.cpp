@@ -52,7 +52,8 @@ std::size_t ReadFile::env_sieve_buffer() {
 
 ReadFile::ReadFile(std::string root, std::shared_ptr<const GlobalIndex> index)
     : root_(std::move(root)),
-      index_(std::move(index)),
+      base_(std::move(index)),
+      index_(base_),
       threads_(ThreadPool::env_threads()),
       sieve_(env_sieve()),
       sieve_max_hole_(env_sieve_max_hole()),
@@ -79,6 +80,16 @@ std::unique_ptr<ReadFile> ReadFile::with_index(std::string root,
   return std::unique_ptr<ReadFile>(new ReadFile(
       std::move(root),
       std::make_shared<const GlobalIndex>(std::move(index))));
+}
+
+void ReadFile::patch(std::span<const WriterRecords> batches) {
+  if (batches.empty()) return;
+  if (!patched_) {
+    patched_ = std::make_shared<GlobalIndex>(*base_);
+    index_ = patched_;
+    mapped_dropping_.reset();
+  }
+  patched_->patch(batches);
 }
 
 bool ReadFile::try_mapped_read(const std::vector<PieceRef>& refs) {

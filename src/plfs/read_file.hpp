@@ -75,6 +75,16 @@ class ReadFile {
 
   [[nodiscard]] std::uint64_t size() const { return index_->size(); }
   [[nodiscard]] const GlobalIndex& index() const { return *index_; }
+  /// The snapshot this reader was opened on, before any patch.
+  [[nodiscard]] const std::shared_ptr<const GlobalIndex>& base() const {
+    return base_;
+  }
+
+  /// Apply a writing handle's own published records (GlobalIndex::patch;
+  /// the caller checked can_patch). The first patch copies the snapshot,
+  /// which other readers share, and turns mapped reads off: the patched
+  /// records point into droppings the mapping does not cover.
+  void patch(std::span<const WriterRecords> batches);
 
   /// Parse LDPLFS_SIEVE: "0" disables data sieving (every piece becomes a
   /// direct pread), anything else (including unset) enables it.
@@ -114,7 +124,9 @@ class ReadFile {
   bool try_mapped_read(const std::vector<PieceRef>& refs);
 
   std::string root_;
-  std::shared_ptr<const GlobalIndex> index_;
+  std::shared_ptr<const GlobalIndex> base_;
+  std::shared_ptr<const GlobalIndex> index_;  // base_, or patched_
+  std::shared_ptr<GlobalIndex> patched_;      // private copy once patched
   unsigned threads_;  // LDPLFS_THREADS at open; <2 forces the serial path
   bool sieve_;                  // LDPLFS_SIEVE at open
   std::size_t sieve_max_hole_;  // LDPLFS_SIEVE_MAX_HOLE at open

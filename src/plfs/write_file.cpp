@@ -91,10 +91,10 @@ Result<std::unique_ptr<WriteFile>> WriteFile::open(const std::string& root,
 
   // The path table stores the dropping path relative to the container root
   // so containers stay relocatable (cp -r of a container keeps working).
-  const std::string data_rel =
-      path_join(path_basename(hostdir),
-                ContainerLayout::data_dropping_name(writer));
-  auto index = IndexWriter::create(layout.index_dropping_path(writer), data_rel);
+  wf->data_rel_ = path_join(path_basename(hostdir),
+                            ContainerLayout::data_dropping_name(writer));
+  auto index =
+      IndexWriter::create(layout.index_dropping_path(writer), wf->data_rel_);
   if (!index) {
     // Roll back the data dropping: with no paired index it could only ever
     // be an orphan for recovery to flag.
@@ -433,6 +433,23 @@ Status WriteFile::drain() {
   return Status::success();
 }
 
+Status WriteFile::write_index() {
+  // Drain first: index records may only reach the index dropping once the
+  // data they describe is in the log.
+  if (auto s = drain(); !s) return s;
+  if (auto s = index_->flush(); !s) {
+    deferred_errno_ = s.error_code();
+    return s;
+  }
+  return Status::success();
+}
+
+void WriteFile::bump_if_dirty() {
+  if (!index_dirty_) return;
+  shmeta::bump(root_);
+  index_dirty_ = false;
+}
+
 Result<std::size_t> WriteFile::write(std::span<const std::byte> data,
                                      std::uint64_t offset) {
   if (closed_) return Errno{EBADF};
@@ -505,10 +522,7 @@ Status WriteFile::truncate(std::uint64_t size) {
         "hints (errno=%d %s); stat may overreport until the next close",
         root_.c_str(), names.error_code(), names.error().message().c_str());
   }
-  if (auto s = index_->flush(); !s) {
-    deferred_errno_ = s.error_code();
-    return s;
-  }
+  if (auto s = write_index(); !s) return s;
   // The truncate record is on disk: other processes' cached indexes are
   // stale regardless of whether any bytes were staged since the last bump.
   shmeta::bump(root_);
@@ -516,24 +530,30 @@ Status WriteFile::truncate(std::uint64_t size) {
   return Status::success();
 }
 
+Result<WriterRecords> WriteFile::publish() {
+  if (closed_) return Errno{EBADF};
+  if (deferred_errno_ != 0) return Errno{deferred_errno_};
+  if (auto s = drain(); !s) return s.error();
+  return WriterRecords{data_rel_, index_->take_unpublished()};
+}
+
+Status WriteFile::flush_index() {
+  if (closed_) return Errno{EBADF};
+  if (deferred_errno_ != 0) return Errno{deferred_errno_};
+  if (auto s = write_index(); !s) return s;
+  bump_if_dirty();
+  return Status::success();
+}
+
 Status WriteFile::sync() {
   if (closed_) return Errno{EBADF};
   if (deferred_errno_ != 0) return Errno{deferred_errno_};
-  // Drain barrier first: index records may only be flushed once the data
-  // they describe is in the log.
-  if (auto s = drain(); !s) return s;
-  if (auto s = index_->flush(); !s) {
-    deferred_errno_ = s.error_code();
-    return s;
-  }
+  if (auto s = write_index(); !s) return s;
   if (auto s = posix::fsync_fd(data_fd_); !s) {
     deferred_errno_ = s.error_code();
     return s;
   }
-  if (index_dirty_) {
-    shmeta::bump(root_);
-    index_dirty_ = false;
-  }
+  bump_if_dirty();
   return Status::success();
 }
 
@@ -589,10 +609,7 @@ Status WriteFile::close() {
   // processes' caches. The writer *registration* outlives this stream —
   // it is held by the owning FileHandle for the whole open, so a
   // foreign-writer check can never miss both the registration and the bump.
-  if (index_dirty_) {
-    shmeta::bump(root_);
-    index_dirty_ = false;
-  }
+  bump_if_dirty();
   return result;
 }
 

@@ -16,8 +16,11 @@
 //
 // Both engines preserve the same contracts (see write()): sticky deferred
 // errors with the first logical failure winning, index records only ever
-// describing bytes whose pwrite completed, and sync()/truncate()/close()
-// acting as drain barriers so readers and stat see every acknowledged byte.
+// describing bytes whose pwrite completed, and drain barriers so readers
+// and stat see every acknowledged byte. The barriers are publish() (the
+// read path: visible to the owning handle, nothing written to the index),
+// flush_index() (visible to everyone), sync() (durable), and truncate() and
+// close().
 //
 // Drain barriers are hang-proof when LDPLFS_FLUSH_DEADLINE_MS is set: a
 // barrier waits at most that long for the in-flight flush. On timeout the
@@ -82,6 +85,20 @@ class WriteFile {
   /// log-structured stores never rewrite history.) Drain barrier: all
   /// buffered appends reach the log before the truncate record is flushed.
   Status truncate(std::uint64_t size);
+
+  /// Read-your-writes barrier: flush the aggregation buffer and hand back
+  /// every index record made readable (or extended by coalescing) since the
+  /// last publish or index write. Not durable and not visible to anyone else: no index write, no
+  /// fsync, no generation bump. The owning handle patches its snapshot
+  /// with the records; they reach the index dropping at the next
+  /// flush_index(), sync(), truncate() or close(), after which a snapshot
+  /// must be rebuilt from disk to see them.
+  Result<WriterRecords> publish();
+
+  /// Drain barrier: flush the aggregation buffer, then append the pending
+  /// index records to the index dropping and bump the generation, so other
+  /// handles and processes see every acknowledged byte. No fsync.
+  Status flush_index();
 
   /// Drain barrier: flush the aggregation buffer, then index records, then
   /// fsync the data dropping. After a successful sync every acknowledged
@@ -154,20 +171,25 @@ class WriteFile {
   /// active buffer synchronously. On return either everything accepted is
   /// in the log and indexed, or the stream is poisoned.
   Status drain();
+  /// drain() + append the pending index records to the index dropping.
+  Status write_index();
+  /// Bump the container's generation if bytes were accepted since the last
+  /// bump.
+  void bump_if_dirty();
 
   std::string root_;
   WriterId writer_;
   int data_fd_ = -1;
   std::string data_path_;  // the data dropping (health/fault attribution)
+  std::string data_rel_;   // the same, relative to root_ (path table entry)
   std::unique_ptr<IndexWriter> index_;
   std::uint64_t physical_end_ = 0;  // bytes accepted (log tail once drained)
   std::uint64_t max_eof_ = 0;       // highest logical offset+len written
   int deferred_errno_ = 0;          // first failed append poisons the stream
   bool closed_ = false;
-  // Shared metadata plane (plfs/shared_meta.hpp): the writer-registration
   // Whether bytes were accepted since the last generation bump —
-  // sync/truncate/close bump the container's generation only when new index
-  // state actually became visible, so read-your-writes sync loops don't
+  // flush_index/sync/truncate/close bump the container's generation only
+  // when new index state actually became visible, so sync loops don't
   // thrash other processes' caches. (The shared-plane writer *registration*
   // lives on the owning FileHandle, which spans every per-pid stream.)
   bool index_dirty_ = false;

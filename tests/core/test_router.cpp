@@ -11,8 +11,10 @@
 #include <cstring>
 #include <string>
 
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "plfs/container.hpp"
+#include "posix/faults.hpp"
 #include "testing/temp_dir.hpp"
 
 namespace ldplfs::core {
@@ -363,6 +365,71 @@ TEST_F(RouterTest, FsyncOnPlfsFdSucceeds) {
   EXPECT_EQ(router_.fsync(fd), 0);
   EXPECT_EQ(router_.fdatasync(fd), 0);
   router_.close(fd);
+}
+
+TEST_F(RouterTest, ReadsAndAppendsNeverFsync) {
+  // Read-your-writes needs visibility, not durability. With every fsync
+  // failing, reads after writes and O_APPEND writes must all succeed and
+  // match the same calls on a plain file; only fsync reports the failure.
+  struct FaultPlan {
+    FaultPlan() {
+      EXPECT_TRUE(posix::faults::configure("fsync:errno=ENOSPC"));
+    }
+    ~FaultPlan() { posix::faults::clear(); }
+  } plan;
+  const std::string plain_rw = outside_.sub("rw");
+  const int rw = router_.open(mpath("rw").c_str(), O_RDWR | O_CREAT, 0644);
+  const int plain = router_.open(plain_rw.c_str(), O_RDWR | O_CREAT, 0644);
+  ASSERT_GE(rw, 0);
+  ASSERT_GE(plain, 0);
+  Rng rng(0xF5F5u);
+  std::vector<char> wbuf(4096), got(4096), want(4096);
+  for (int i = 0; i < 1000; ++i) {
+    for (auto& c : wbuf) c = static_cast<char>(rng.next());
+    const off_t woff = static_cast<off_t>(rng.below(1u << 20));
+    ASSERT_EQ(router_.pwrite(rw, wbuf.data(), wbuf.size(), woff), 4096);
+    ASSERT_EQ(router_.pwrite(plain, wbuf.data(), wbuf.size(), woff), 4096);
+    const off_t roff = static_cast<off_t>(rng.below(1u << 20));
+    const ssize_t n = router_.pread(rw, got.data(), got.size(), roff);
+    ASSERT_EQ(n, router_.pread(plain, want.data(), want.size(), roff))
+        << "op " << i;
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), static_cast<size_t>(n)), 0)
+        << "op " << i;
+  }
+
+  const int log = router_.open(mpath("log").c_str(),
+                               O_RDWR | O_CREAT | O_APPEND, 0644);
+  const int plain_log = router_.open(outside_.sub("log").c_str(),
+                                     O_RDWR | O_CREAT | O_APPEND, 0644);
+  ASSERT_GE(log, 0);
+  ASSERT_GE(plain_log, 0);
+  for (int i = 0; i < 1000; ++i) {
+    char line[100];
+    std::memset(line, 'a' + i % 26, sizeof line);
+    ASSERT_EQ(router_.write(log, line, sizeof line), 100) << "append " << i;
+    ASSERT_EQ(router_.write(plain_log, line, sizeof line), 100);
+  }
+
+  // Whole-file comparison of both pairs, still before any fsync.
+  for (const auto& [fd, flat] :
+       {std::pair{rw, plain}, std::pair{log, plain_log}}) {
+    struct ::stat st{}, flat_st{};
+    ASSERT_EQ(router_.fstat(fd, &st), 0);
+    ASSERT_EQ(router_.fstat(flat, &flat_st), 0);
+    ASSERT_EQ(st.st_size, flat_st.st_size);
+    std::vector<char> all(static_cast<std::size_t>(st.st_size));
+    std::vector<char> flat_all(all.size());
+    ASSERT_EQ(router_.pread(fd, all.data(), all.size(), 0), st.st_size);
+    ASSERT_EQ(router_.pread(flat, flat_all.data(), flat_all.size(), 0),
+              st.st_size);
+    EXPECT_TRUE(all == flat_all);
+  }
+
+  EXPECT_EQ(router_.fsync(rw), -1);
+  EXPECT_EQ(errno, ENOSPC);
+  EXPECT_EQ(router_.fsync(log), -1);
+  EXPECT_EQ(errno, ENOSPC);
+  for (const int fd : {rw, plain, log, plain_log}) router_.close(fd);
 }
 
 TEST_F(RouterTest, OTruncDropsOldContent) {

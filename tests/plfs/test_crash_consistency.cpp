@@ -8,7 +8,9 @@
 // pwrite poisons the writer stream, and the original errno resurfaces from
 // plfs_sync / plfs_close — immediately on the synchronous engine (that
 // test forces LDPLFS_WRITE_BEHIND=0), deferred on the write-behind engine
-// (covered by test_write_behind.cpp).
+// (covered by test_write_behind.cpp). A third writer reads back after
+// every chunk and SIGKILLs itself: reads must not make unsynced bytes
+// survive, so recovery finds exactly the synced prefix.
 //
 // Everything is deterministic: kill points come from a fixed-seed Rng, and
 // iteration 0 uses a kill point beyond the child's op count as the
@@ -18,6 +20,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -77,6 +80,40 @@ char chunk_fill(std::size_t index) {
   }
   if (!plfs_close(fd.value(), kWriterPid).ok()) ::_exit(6);
   ::_exit(0);
+}
+
+/// Child body: kChunks sequential chunks through an O_RDWR handle, synced
+/// every kReadBackSyncEvery chunks, every chunk read back (whole prefix,
+/// checked) before the next is written; SIGKILLs itself right after reading
+/// back chunk `kill_after`. Exit 7 = a read-back mismatch.
+constexpr std::size_t kReadBackSyncEvery = 4;
+
+[[noreturn]] void run_reading_writer(const std::string& path,
+                                     std::size_t kill_after,
+                                     bool write_behind) {
+  ::setenv("LDPLFS_WRITE_BEHIND", write_behind ? "1" : "0", 1);
+  ::setenv("LDPLFS_WRITE_BUFFER", "4096", 1);
+  auto fd = plfs_open(path, O_CREAT | O_RDWR, kWriterPid);
+  if (!fd.ok()) ::_exit(3);
+  std::vector<std::byte> buf(kChunks * kChunk);
+  for (std::size_t i = 0; i < kChunks; ++i) {
+    const std::string chunk(kChunk, chunk_fill(i));
+    if (!fd.value()->write(as_bytes(chunk), i * kChunk, kWriterPid).ok()) {
+      ::_exit(4);
+    }
+    if (i % kReadBackSyncEvery == kReadBackSyncEvery - 1 &&
+        !plfs_sync(*fd.value(), kWriterPid).ok()) {
+      ::_exit(5);
+    }
+    const std::size_t want = (i + 1) * kChunk;
+    auto got = plfs_read(*fd.value(), {buf.data(), want}, 0);
+    if (!got.ok() || got.value() != want) ::_exit(7);
+    for (std::size_t off = 0; off < want; ++off) {
+      if (static_cast<char>(buf[off]) != chunk_fill(off / kChunk)) ::_exit(7);
+    }
+    if (i == kill_after) ::kill(::getpid(), SIGKILL);
+  }
+  ::_exit(plfs_close(fd.value(), kWriterPid).ok() ? 0 : 6);
 }
 
 /// Recover `path` and assert the strongest invariant a killed sequential
@@ -194,6 +231,36 @@ TEST_F(CrashConsistencyTest, RandomKillPointsAlwaysRecoverableWriteBehind) {
   // Write-behind batches 16 writes into 4 pwrites (2 background, 2 drain)
   // and 2 fsyncs, so a full run is ~28 instrumented ops.
   run_soak(/*write_behind=*/true, /*kill_span=*/28);
+}
+
+TEST_F(CrashConsistencyTest, ReadBackKeepsExactlyTheSyncedPrefix) {
+  // A read makes the writer's bytes visible to its own handle only: no
+  // index write, no fsync. So a writer that reads back after every chunk
+  // and is SIGKILLed recovers to exactly its synced prefix — not to the
+  // larger prefix it last read.
+  for (const bool write_behind : {false, true}) {
+    for (std::size_t kill_after = 0; kill_after < kChunks; kill_after += 3) {
+      const std::string path =
+          tmp_.sub("readback." + std::to_string(write_behind) + "." +
+                   std::to_string(kill_after));
+      const pid_t pid = ::fork();
+      if (pid == 0) run_reading_writer(path, kill_after, write_behind);
+      ASSERT_GT(pid, 0);
+      int status = 0;
+      ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+      ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+          << "kill_after " << kill_after << ": writer exited "
+          << (WIFEXITED(status) ? WEXITSTATUS(status) : -1);
+      const int iteration = static_cast<int>(kill_after);
+      assert_prefix_consistent(path, iteration);
+      const std::size_t synced =
+          (kill_after + 1) / kReadBackSyncEvery * kReadBackSyncEvery;
+      auto attr = plfs_getattr(path);
+      ASSERT_TRUE(attr.ok());
+      EXPECT_EQ(attr.value().size, synced * kChunk)
+          << "write_behind " << write_behind << ", kill_after " << kill_after;
+    }
+  }
 }
 
 TEST_F(CrashConsistencyTest, CrashInFirstBackgroundFlushCommitsNothing) {

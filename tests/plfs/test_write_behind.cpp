@@ -9,21 +9,30 @@
 // identical index records modulo timestamps — which pins the engines to the
 // same log-structured layout, not merely the same logical contents.
 //
+// A second randomized oracle pins the read path's patched snapshot: a
+// writing handle serves read-your-writes by patching its own copy of the
+// index snapshot, and must rebuild exactly once whenever a patch could
+// differ from a full merge, and never otherwise.
+//
 // The fault tests pin the deferred-error half of the contract: a background
 // flush failure on a pool thread poisons the stream, the original errno
 // resurfaces from the next write/sync/close, and no index record ever
 // describes bytes the failed flush did not land.
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "common/paths.hpp"
 #include "common/units.hpp"
 #include "plfs/container.hpp"
 #include "plfs/index_format.hpp"
@@ -79,6 +88,20 @@ TEST_F(WriteBehindTest, EnvKnobs) {
   EXPECT_EQ(WriteFile::env_write_buffer(), std::size_t{4} << 20);
 }
 
+/// Random lowercase payload of `len` bytes.
+std::string random_payload(Rng& rng, std::size_t len) {
+  std::string data(len, '\0');
+  for (auto& c : data) c = static_cast<char>('a' + rng.below(26));
+  return data;
+}
+
+void apply_to_model(std::vector<char>& model, std::uint64_t off,
+                    const std::string& data) {
+  if (model.size() < off + data.size()) model.resize(off + data.size(), '\0');
+  std::copy(data.begin(), data.end(),
+            model.begin() + static_cast<std::ptrdiff_t>(off));
+}
+
 /// What one oracle run leaves behind, for cross-engine comparison.
 struct WorkloadResult {
   std::vector<char> model;        // final oracle contents
@@ -128,15 +151,10 @@ WorkloadResult run_workload(const TempDir& tmp, const char* name,
       // to exercise the drain-then-write-through dodge.
       const std::size_t len =
           1 + static_cast<std::size_t>(rng.below(op % 31 == 0 ? 6000 : 3000));
-      std::string data(len, '\0');
-      for (auto& c : data) {
-        c = static_cast<char>('a' + static_cast<char>(rng.below(26)));
-      }
+      const std::string data = random_payload(rng, len);
       auto n = fd.value()->write(as_bytes(data), off, kPid);
       EXPECT_TRUE(n.ok()) << "op " << op;
-      if (model.size() < off + len) model.resize(off + len, '\0');
-      std::copy(data.begin(), data.end(),
-                model.begin() + static_cast<std::ptrdiff_t>(off));
+      apply_to_model(model, off, data);
     } else if (kind == 7) {
       // Truncate, mostly down but sometimes past EOF (hole at the tail).
       const std::uint64_t size = rng.below(model.size() + model.size() / 4 + 1);
@@ -274,6 +292,271 @@ TEST_F(WriteBehindTest, ReadYourWritesWithoutSync) {
   auto attr = plfs_getattr(path);
   ASSERT_TRUE(attr.ok());
   EXPECT_EQ(attr.value().size, 1500u);
+}
+
+/// Plant the index and data droppings of a writer that never ran here,
+/// holding one record of `data` at logical `off` stamped `stamp`.
+void plant_foreign_dropping(const std::string& root, pid_t pid,
+                            std::uint64_t stamp, std::uint64_t off,
+                            const std::string& data) {
+  ContainerLayout layout(root);
+  const WriterId ghost{"ghost", pid, stamp};
+  const std::string hostdir = layout.hostdir_for(ghost.host);
+  ASSERT_TRUE(posix::make_dirs(hostdir).ok());
+  ASSERT_TRUE(posix::write_file(layout.data_dropping_path(ghost), data).ok());
+  std::string index = encode_index_header(
+      {path_join(path_basename(hostdir),
+                 ContainerLayout::data_dropping_name(ghost))});
+  const IndexRecord rec{off, data.size(), 0, stamp, 0,
+                        static_cast<std::uint32_t>(RecordKind::kData)};
+  index.append(reinterpret_cast<const char*>(&rec), sizeof rec);
+  ASSERT_TRUE(
+      posix::write_file(layout.index_dropping_path(ghost), index).ok());
+}
+
+TEST_F(WriteBehindTest, PatchedSnapshotEqualsFullMergeAndRebuildsOnFallback) {
+  // Reads through a writing handle patch its snapshot with the records its
+  // writers publish. Random writes and checked reads run between events
+  // that each make a patch unsound; the read after each event must rebuild
+  // exactly once, every other read not at all, and every read must match
+  // the byte model. Stamp order equals real-time order throughout, so the
+  // model is what a full merge of the same records gives. The counts assume
+  // the default validation: index cache on, shared plane off (fingerprints).
+  ::setenv("LDPLFS_WRITE_BEHIND", "1", 1);
+  ::setenv("LDPLFS_WRITE_BUFFER", "4096", 1);
+  stats::force_enable(true);
+  const std::string path = tmp_.sub("patched");
+  auto fd = plfs_open(path, O_CREAT | O_RDWR, kPid);
+  ASSERT_TRUE(fd.ok());
+  FileHandle& handle = *fd.value();
+  std::vector<char> model;
+  std::vector<pid_t> pids{kPid};
+  Rng rng(0xB1A5EDu);
+
+  const auto write = [&](pid_t pid, std::uint64_t off, std::size_t len) {
+    const std::string data = random_payload(rng, len);
+    ASSERT_TRUE(handle.write(as_bytes(data), off, pid).ok());
+    apply_to_model(model, off, data);
+  };
+  const auto random_write = [&] {
+    const pid_t pid = pids[rng.below(pids.size())];
+    write(pid, rng.below(48 * 1024),
+          1 + static_cast<std::size_t>(rng.below(3000)));
+  };
+  const auto small_write = [&] { write(kPid, rng.below(48 * 1024), 100); };
+  // One random read checked against the model, plus the merges it cost.
+  const auto check_read = [&](const std::string& what,
+                              std::uint64_t want_merges) {
+    const auto before = stats::snapshot();
+    auto size = handle.size();
+    ASSERT_TRUE(size.ok()) << what;
+    EXPECT_EQ(size.value(), model.size()) << what;
+    const std::uint64_t off = rng.below(model.size() + 1);
+    std::vector<std::byte> buf(1 + rng.below(8192));
+    auto got = plfs_read(handle, buf, off);
+    ASSERT_TRUE(got.ok()) << what;
+    const std::size_t want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(buf.size(), model.size() - off));
+    ASSERT_EQ(got.value(), want) << what;
+    EXPECT_EQ(std::memcmp(buf.data(), model.data() + off, want), 0) << what;
+    EXPECT_EQ(stats::snapshot().since(before).get(
+                  stats::Counter::kPlfsIndexMerges),
+              want_merges)
+        << what;
+  };
+
+  // Each event changes the container behind the snapshot; the caller then
+  // writes through the handle (a read with nothing new to publish keeps
+  // its snapshot) and expects one rebuild.
+  int sibling = 0;
+  const std::vector<std::pair<std::string, std::function<void()>>> events{
+      {"sibling close",
+       [&] {
+         const pid_t pid = kPid + 100 + sibling++;
+         auto other = plfs_open(path, O_RDWR, pid);
+         ASSERT_TRUE(other.ok());
+         const std::string data = random_payload(rng, 2000);
+         const std::uint64_t off = rng.below(48 * 1024);
+         ASSERT_TRUE(other.value()->write(as_bytes(data), off, pid).ok());
+         apply_to_model(model, off, data);
+         ASSERT_TRUE(plfs_close(other.value(), pid).ok());
+       }},
+      {"sibling truncate",
+       [&] {
+         const pid_t pid = kPid + 100 + sibling++;
+         auto other = plfs_open(path, O_RDWR, pid);
+         ASSERT_TRUE(other.ok());
+         const std::uint64_t size = rng.below(model.size() + 1);
+         ASSERT_TRUE(other.value()->truncate(size, pid).ok());
+         model.resize(size, '\0');
+         ASSERT_TRUE(plfs_close(other.value(), pid).ok());
+       }},
+      {"second pid",
+       [&] {
+         const pid_t pid = kPid + 1 + static_cast<pid_t>(pids.size());
+         pids.push_back(pid);
+         write(pid, rng.below(48 * 1024), 500);
+       }},
+      {"forked plfs_sync",
+       [&] {
+         const std::string data = random_payload(rng, 1500);
+         const std::uint64_t off = rng.below(48 * 1024);
+         const pid_t child = ::fork();
+         if (child == 0) {
+           constexpr pid_t kChildPid = 4000;
+           auto cfd = plfs_open(path, O_RDWR, kChildPid);
+           if (!cfd.ok()) ::_exit(1);
+           if (!cfd.value()->write(as_bytes(data), off, kChildPid).ok()) {
+             ::_exit(2);
+           }
+           ::_exit(plfs_sync(*cfd.value(), kChildPid).ok() ? 0 : 3);
+         }
+         ASSERT_GT(child, 0);
+         int status = 0;
+         ASSERT_EQ(::waitpid(child, &status, 0), child);
+         ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+         apply_to_model(model, off, data);
+         // fork copied the stamp counter: step past the child's stamps so
+         // this process's next writes still sort after them.
+         for (int i = 0; i < 64; ++i) (void)next_timestamp();
+       }},
+      {"own plfs_sync",
+       [&] { ASSERT_TRUE(plfs_sync(handle, kPid).ok()); }},
+  };
+
+  small_write();
+  check_read("first read builds the snapshot", 1);
+  for (int round = 0; round < 3; ++round) {
+    for (const auto& [name, event] : events) {
+      for (int op = 0; op < 16; ++op) {
+        if (rng.below(10) < 7) {
+          random_write();
+        } else {
+          check_read("patched read before " + name, 0);
+        }
+        if (HasFatalFailure()) return;
+      }
+      event();
+      if (HasFatalFailure()) return;
+      small_write();
+      check_read("read after " + name, 1);
+      if (HasFatalFailure()) return;
+    }
+
+    // A foreign dropping stamped one past the handle's next write: its
+    // appearance fails rule 1 (the fingerprint moved); the write stamped
+    // at or below it then fails rule 2 against the rebuilt snapshot, and
+    // patching resumes once the handle's stamps pass it. It sits past
+    // every other write, so no overlap depends on that order.
+    check_read("drain before the foreign dropping", 0);
+    const std::uint64_t stamp = next_timestamp() + 2;
+    const std::string ghost = random_payload(rng, 256);
+    plant_foreign_dropping(path, 5000 + round, stamp, 56 * 1024, ghost);
+    if (HasFatalFailure()) return;
+    apply_to_model(model, 56 * 1024, ghost);
+    small_write();  // stamped stamp - 1
+    check_read("read after the foreign dropping appeared", 1);
+    small_write();  // stamped stamp: not newer than the snapshot
+    check_read("read of a write not newer than the snapshot", 1);
+    small_write();
+    check_read("patched read after the foreign stamp", 0);
+    if (HasFatalFailure()) return;
+  }
+  ASSERT_TRUE(plfs_close(fd.value(), kPid).ok());
+
+  // Cold start: a fresh full merge of what reached disk agrees too.
+  auto rfd = plfs_open(path, O_RDONLY, kPid);
+  ASSERT_TRUE(rfd.ok());
+  std::vector<std::byte> buf(model.size());
+  auto got = plfs_read(*rfd.value(), buf, 0);
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got.value(), model.size());
+  EXPECT_EQ(std::memcmp(buf.data(), model.data(), model.size()), 0);
+  EXPECT_TRUE(plfs_close(rfd.value(), kPid).ok());
+}
+
+TEST_F(WriteBehindTest, PatchedReadsFollowCoalescedAppends) {
+  // A sequential stream coalesces into one growing index record. Each read
+  // between appends patches with that record again (its stamp grew), so
+  // every read sees every byte and only the first read merges.
+  stats::force_enable(true);
+  for (const char* engine : {"0", "1"}) {
+    ::setenv("LDPLFS_WRITE_BEHIND", engine, 1);
+    ::setenv("LDPLFS_WRITE_BUFFER", "4096", 1);
+    const std::string path = tmp_.sub(std::string("appends") + engine);
+    auto fd = plfs_open(path, O_CREAT | O_RDWR, kPid);
+    ASSERT_TRUE(fd.ok());
+    std::string model;
+    const auto before = stats::snapshot();
+    for (std::size_t i = 0; i < 40; ++i) {
+      const std::string chunk(1000, chunk_fill(i % 26));
+      ASSERT_TRUE(
+          fd.value()->write(as_bytes(chunk), model.size(), kPid).ok());
+      model += chunk;
+      std::vector<std::byte> buf(model.size());
+      auto got = plfs_read(*fd.value(), buf, 0);
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got.value(), model.size()) << "engine " << engine;
+      ASSERT_EQ(std::memcmp(buf.data(), model.data(), model.size()), 0)
+          << "engine " << engine << ", append " << i;
+    }
+    EXPECT_EQ(stats::snapshot().since(before).get(
+                  stats::Counter::kPlfsIndexMerges),
+              1u)
+        << "engine " << engine;
+    ASSERT_TRUE(plfs_close(fd.value(), kPid).ok());
+  }
+}
+
+TEST_F(WriteBehindTest, FailedIndexLoadKeepsPublishedRecordsVisible) {
+  // A read publishes its writers' records before it loads the index. When
+  // that load fails, the records must not be lost: the next read, with
+  // nothing new to publish, still sees them. Both loads are covered: the
+  // first read's snapshot, and the rebuild after a sibling's close made
+  // patching unsound.
+  ::setenv("LDPLFS_WRITE_BEHIND", "1", 1);
+  ::setenv("LDPLFS_WRITE_BUFFER", "4096", 1);
+  const std::string path = tmp_.sub("failed_load");
+  auto fd = plfs_open(path, O_CREAT | O_RDWR, kPid);
+  ASSERT_TRUE(fd.ok());
+  FileHandle& handle = *fd.value();
+  std::vector<char> model;
+  Rng rng(0xFA11u);
+  const auto write = [&](FileHandle& h, pid_t pid) {
+    const std::string data = random_payload(rng, 3000);
+    const std::uint64_t off = rng.below(16 * 1024);
+    ASSERT_TRUE(h.write(as_bytes(data), off, pid).ok());
+    apply_to_model(model, off, data);
+  };
+  const auto read_after_failed_load = [&](const std::string& what) {
+    // Every index-dropping pread fails (past the retries) until cleared.
+    ASSERT_TRUE(
+        posix::faults::configure("pread:errno=EIO:path=dropping.index"));
+    std::vector<std::byte> buf(model.size());
+    auto failed = plfs_read(handle, buf, 0);
+    posix::faults::clear();
+    ASSERT_FALSE(failed.ok()) << what;
+    EXPECT_EQ(failed.error_code(), EIO) << what;
+    auto got = plfs_read(handle, buf, 0);
+    ASSERT_TRUE(got.ok()) << what;
+    ASSERT_EQ(got.value(), model.size()) << what;
+    EXPECT_EQ(std::memcmp(buf.data(), model.data(), model.size()), 0)
+        << what;
+  };
+
+  write(handle, kPid);
+  read_after_failed_load("first read");
+  if (HasFatalFailure()) return;
+
+  constexpr pid_t kSibling = kPid + 100;
+  auto other = plfs_open(path, O_RDWR, kSibling);
+  ASSERT_TRUE(other.ok());
+  write(*other.value(), kSibling);
+  ASSERT_TRUE(plfs_close(other.value(), kSibling).ok());
+  write(handle, kPid);
+  read_after_failed_load("rebuild after a sibling's close");
+  if (HasFatalFailure()) return;
+  ASSERT_TRUE(plfs_close(fd.value(), kPid).ok());
 }
 
 TEST_F(WriteBehindTest, BackgroundFlushFailurePoisonsStream) {

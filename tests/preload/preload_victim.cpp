@@ -11,6 +11,7 @@
 #include <sys/sendfile.h>
 #include <sys/stat.h>
 #include <sys/uio.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <string>
@@ -436,6 +437,61 @@ int scenario_fcntl(const char* path) {
   return 0;
 }
 
+int scenario_mtime(const char* path) {
+  // stat and fstat of one open container must agree on st_mtime: the
+  // container's own mtime while nothing was written through the open fd
+  // (the caller backdates it), and the time of the last write after one.
+  struct stat closed_st;
+  if (stat(path, &closed_st) != 0) return fail("stat closed");
+  int fd = open(path, O_RDONLY);
+  if (fd < 0) return fail("open rdonly");
+  struct stat st, fst;
+  if (stat(path, &st) != 0) return fail("stat open");
+  if (fstat(fd, &fst) != 0) return fail("fstat open");
+  if (st.st_mtime != closed_st.st_mtime || fst.st_mtime != closed_st.st_mtime) {
+    fprintf(stderr, "read-only open: stat %lld fstat %lld, closed %lld\n",
+            static_cast<long long>(st.st_mtime),
+            static_cast<long long>(fst.st_mtime),
+            static_cast<long long>(closed_st.st_mtime));
+    return 1;
+  }
+  if (close(fd) != 0) return fail("close rdonly");
+
+  fd = open(path, O_WRONLY);
+  if (fd < 0) return fail("open wronly");
+  const time_t before = time(nullptr);
+  if (write(fd, "x", 1) != 1) return fail("write");
+  const time_t after = time(nullptr);
+  if (stat(path, &st) != 0) return fail("stat written");
+  if (fstat(fd, &fst) != 0) return fail("fstat written");
+  if (st.st_mtime != fst.st_mtime || st.st_mtime < before ||
+      st.st_mtime > after) {
+    fprintf(stderr, "after write: stat %lld fstat %lld, write in [%lld, %lld]\n",
+            static_cast<long long>(st.st_mtime),
+            static_cast<long long>(fst.st_mtime),
+            static_cast<long long>(before), static_cast<long long>(after));
+    return 1;
+  }
+  if (close(fd) != 0) return fail("close wronly");
+  return 0;
+}
+
+int scenario_umask(const char* path) {
+  // open(O_CREAT) takes the umask off the requested mode, as for a plain
+  // file: 0666 under umask 027 is 0640.
+  umask(027);
+  const int fd = open(path, O_WRONLY | O_CREAT | O_EXCL, 0666);
+  if (fd < 0) return fail("open");
+  if (close(fd) != 0) return fail("close");
+  struct stat st;
+  if (stat(path, &st) != 0) return fail("stat");
+  if ((st.st_mode & 07777) != 0640) {
+    fprintf(stderr, "mode %o, want 640\n", st.st_mode & 07777);
+    return 1;
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -460,6 +516,8 @@ int main(int argc, char** argv) {
   if (scenario == "copy_out") return scenario_copy_out(path);
   if (scenario == "statat64") return scenario_statat64(path);
   if (scenario == "fcntl") return scenario_fcntl(path);
+  if (scenario == "mtime") return scenario_mtime(path);
+  if (scenario == "umask") return scenario_umask(path);
   fprintf(stderr, "unknown scenario %s\n", scenario.c_str());
   return 2;
 }

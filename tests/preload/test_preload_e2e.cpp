@@ -84,6 +84,15 @@ RunResult run_victim(const std::string& scenario, const std::string& path,
   return result;
 }
 
+/// Move the mtime plfs_getattr reports for `container` (the newer of its
+/// root's and its metadata directory's) far into the past.
+void backdate_container(const std::string& container) {
+  for (const auto& dir :
+       {container, ldplfs::plfs::ContainerLayout(container).metadata_path()}) {
+    ASSERT_TRUE(ldplfs::testing::set_times(dir, 1'000'000'000)) << dir;
+  }
+}
+
 std::string plfs_content(const std::string& container) {
   auto fd = ldplfs::plfs::plfs_open(container, O_RDONLY, 1);
   EXPECT_TRUE(fd.ok());
@@ -163,6 +172,27 @@ TEST(PreloadE2eTest, Stat64FamilyReportsLogicalSize) {
   const auto result = run_victim("statat64", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   EXPECT_EQ(result.stdout_text, "12\n");
+}
+
+TEST(PreloadE2eTest, StatAndFstatAgreeOnMtime) {
+  // Backdate the container so a stat answering 0, or an fstat answering
+  // the current time, cannot pass for its real mtime.
+  TempDir mount;
+  const std::string file = mount.sub("mtime.dat");
+  ASSERT_EQ(run_victim("write", file, mount.path()).exit_code, 0);
+  backdate_container(file);
+  const auto result = run_victim("mtime", file, mount.path());
+  EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
+}
+
+TEST(PreloadE2eTest, CreateHonorsUmask) {
+  TempDir mount;
+  const std::string file = mount.sub("umask.dat");
+  const auto result = run_victim("umask", file, mount.path());
+  EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
+  auto attr = ldplfs::plfs::plfs_getattr(file);
+  ASSERT_TRUE(attr.ok());
+  EXPECT_EQ(attr.value().mode & 07777, 0640u);
 }
 
 TEST(PreloadE2eTest, FcntlDupflagsAndAppendOnRoutedFd) {

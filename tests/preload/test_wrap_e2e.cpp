@@ -34,6 +34,15 @@ int run_wrap_victim(const std::string& scenario, const std::string& path,
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+/// Move the mtime plfs_getattr reports for `container` (the newer of its
+/// root's and its metadata directory's) far into the past.
+void backdate_container(const std::string& container) {
+  for (const auto& dir :
+       {container, ldplfs::plfs::ContainerLayout(container).metadata_path()}) {
+    ASSERT_TRUE(ldplfs::testing::set_times(dir, 1'000'000'000)) << dir;
+  }
+}
+
 TEST(WrapE2eTest, WriteCreatesContainer) {
   TempDir mount;
   const std::string file = mount.sub("w.dat");
@@ -56,6 +65,23 @@ TEST(WrapE2eTest, StatAndUnlink) {
   ASSERT_EQ(run_wrap_victim("stat", file, mount.path()), 0);
   ASSERT_EQ(run_wrap_victim("unlink", file, mount.path()), 0);
   EXPECT_FALSE(ldplfs::posix::exists(file));
+}
+
+TEST(WrapE2eTest, StatAndFstatAgreeOnMtime) {
+  TempDir mount;
+  const std::string file = mount.sub("mtime.dat");
+  ASSERT_EQ(run_wrap_victim("write", file, mount.path()), 0);
+  backdate_container(file);
+  EXPECT_EQ(run_wrap_victim("mtime", file, mount.path()), 0);
+}
+
+TEST(WrapE2eTest, CreateHonorsUmask) {
+  TempDir mount;
+  const std::string file = mount.sub("umask.dat");
+  ASSERT_EQ(run_wrap_victim("umask", file, mount.path()), 0);
+  auto attr = ldplfs::plfs::plfs_getattr(file);
+  ASSERT_TRUE(attr.ok());
+  EXPECT_EQ(attr.value().mode & 07777, 0640u);
 }
 
 TEST(WrapE2eTest, BigBlockStream) {

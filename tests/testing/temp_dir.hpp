@@ -1,6 +1,8 @@
 // Test scaffolding: RAII temporary directory + small data helpers.
 #pragma once
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdlib>
@@ -44,6 +46,12 @@ class TempDir {
  private:
   std::string path_;
 };
+
+/// Set `path`'s access and modification times to `when`.
+inline bool set_times(const std::string& path, time_t when) {
+  const struct timespec times[2] = {{when, 0}, {when, 0}};
+  return ::utimensat(AT_FDCWD, path.c_str(), times, 0) == 0;
+}
 
 /// Deterministic pseudo-random bytes (seeded) for content checks.
 inline std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
