@@ -1,14 +1,16 @@
 // Table of "real" libc entry points used for passthrough and for shadow-fd
-// bookkeeping. The preload shim fills this via dlsym(RTLD_NEXT, ...) because
-// its own exported symbols shadow libc's; in-process users (unit tests, the
-// ldp-* tools) use the default table that calls libc directly.
+// bookkeeping. The interposition front-ends (src/preload) fill this from
+// their own passthrough table, because their entry points shadow libc's:
+// dlsym(RTLD_NEXT, ...) in libldplfs.so, the linker's __real_<name> in
+// libldplfs_wrap.a. In-process users (unit tests, the ldp-* tools) use the
+// default table that calls libc directly.
 //
 // The default table routes the data-path entries through the fault-injection
 // plan (posix/faults.hpp), so LDPLFS_FAULTS reaches passthrough I/O in tools
-// and tests. The dlsym table the shim builds is left unwrapped: under
-// preload, PLFS-internal I/O is already instrumented via the posix::
-// helpers, and faulting every libc call of the host process (shells,
-// loaders) would make plans impossible to aim.
+// and tests. The front-ends' table is left unwrapped: under interposition,
+// PLFS-internal I/O is already instrumented via the posix:: helpers, and
+// faulting every libc call of the host process (shells, loaders) would make
+// plans impossible to aim.
 #pragma once
 
 #include <fcntl.h>

@@ -188,10 +188,6 @@ int Router::open(const char* path, int flags, mode_t mode) {
   return real_.open(path, flags, mode);
 }
 
-int Router::creat(const char* path, mode_t mode) {
-  return open(path, O_WRONLY | O_CREAT | O_TRUNC, mode);
-}
-
 int Router::dup(int fd) {
   auto of = table_.lookup(fd);
   stats::add(of ? stats::Counter::kRouterMetaRouted

@@ -27,7 +27,6 @@ class Router {
 
   // --- fd-producing ---
   int open(const char* path, int flags, mode_t mode);
-  int creat(const char* path, mode_t mode);
   int dup(int fd);
   int dup2(int oldfd, int newfd);
 

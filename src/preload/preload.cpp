@@ -1,29 +1,41 @@
-// libldplfs.so — the LD_PRELOAD entry point (the paper's deliverable).
+// The interposition front-end (paper §III-A), one source built twice:
 //
-//   $ export LDPLFS_MOUNTS=/path/to/plfs/backend
-//   $ LD_PRELOAD=/path/to/libldplfs.so ./unmodified_application
+//   libldplfs.so — the LD_PRELOAD shim (the paper's deliverable):
+//     $ export LDPLFS_MOUNTS=/path/to/plfs/backend
+//     $ LD_PRELOAD=/path/to/libldplfs.so ./unmodified_application
+//   libldplfs_wrap.a — built with LDPLFS_WRAP, for systems without dynamic
+//     loading (BlueGene): linked into the application together with one
+//     -Wl,--wrap=<name> per line of interposed.def.
 //
-// Every exported symbol below shadows its libc namesake. Calls are routed
-// through core::Router; paths outside the configured PLFS mount points pass
-// straight through to the real libc entry points resolved with
-// dlsym(RTLD_NEXT, ...).
+// LDPLFS_ENTRY(name) is each entry point: `name` itself in the .so, where it
+// shadows libc's, and `__wrap_name` in the static library, where --wrap
+// sends the application's calls. Calls are routed through core::Router;
+// paths outside the configured PLFS mount points pass straight through to
+// the real libc entry point, which libc() resolves from the same list with
+// dlsym(RTLD_NEXT, ...) in the .so and takes from the linker's
+// __real_<name> in the static library.
 //
 // Reentrancy: the PLFS library underneath the router performs its own POSIX
-// I/O on droppings. Inside libldplfs.so those calls bind to *our* exported
-// symbols, so a thread-local guard marks "already inside LDPLFS" frames and
-// forwards them to the real functions untouched. (The same technique is
-// used by Darshan and other LD_PRELOAD I/O tools.)
+// I/O on droppings, and in both front-ends those calls reach the entry
+// points below: inside libldplfs.so they bind to its exported symbols, and
+// --wrap rewrites every object in the application's link, the PLFS
+// library's included. A thread-local guard marks "already inside LDPLFS"
+// frames and forwards them to the real functions untouched. (The same
+// technique is used by Darshan and other LD_PRELOAD I/O tools.)
 //
 // Variadic open(2): the mode argument is fetched iff O_CREAT or O_TMPFILE
 // is present, as the libc contract requires.
 
+#ifndef LDPLFS_WRAP
 #include <dlfcn.h>
+#endif
 #include <fcntl.h>
 #include <stdarg.h>
 #include <stdio.h>
 #include <sys/mman.h>
 #include <sys/sendfile.h>
 #include <sys/stat.h>
+#include <sys/sysmacros.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -32,7 +44,9 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <new>
 
 #include "common/logging.hpp"
 #include "common/stats.hpp"
@@ -41,6 +55,20 @@
 #include "core/router.hpp"
 #include "plfs/mapped_container.hpp"
 
+#ifdef LDPLFS_WRAP
+#define LDPLFS_ENTRY(name) __wrap_##name
+// Linker-provided real entry points.
+extern "C" {
+#define LDPLFS_REAL(name) decltype(::name) __real_##name;
+#define LDPLFS_ALIAS(name)
+#include "preload/interposed.def"
+#undef LDPLFS_ALIAS
+#undef LDPLFS_REAL
+}
+#else
+#define LDPLFS_ENTRY(name) name
+#endif
+
 namespace {
 
 using ldplfs::core::MountTable;
@@ -48,46 +76,65 @@ using ldplfs::core::RealCalls;
 using ldplfs::core::Router;
 
 // ---------------------------------------------------------------------------
-// Real-call resolution.
+// Real-call resolution: one passthrough pointer per LDPLFS_REAL line.
 // ---------------------------------------------------------------------------
 
-template <typename Fn>
-Fn next_symbol(const char* name) {
+#define LDPLFS_ALIAS(name)
+
+struct Libc {
+#define LDPLFS_REAL(name) decltype(&::name) name;
+#include "preload/interposed.def"
+#undef LDPLFS_REAL
+};
+
+const Libc& libc() {
+#ifdef LDPLFS_WRAP
+#define LDPLFS_REAL(name) .name = &__real_##name,
+#else
   // dlsym may legitimately return nullptr only if the symbol is absent;
   // for core libc I/O symbols that would be fatal anyway.
-  void* sym = ::dlsym(RTLD_NEXT, name);
-  return reinterpret_cast<Fn>(sym);
+#define LDPLFS_REAL(name) \
+  .name = reinterpret_cast<decltype(&::name)>(::dlsym(RTLD_NEXT, #name)),
+#endif
+  static const Libc table = {
+#include "preload/interposed.def"
+  };
+#undef LDPLFS_REAL
+  return table;
 }
 
-RealCalls resolve_real_calls() {
-  RealCalls c;
-  c.open = next_symbol<int (*)(const char*, int, mode_t)>("open");
-  c.close = next_symbol<int (*)(int)>("close");
-  c.read = next_symbol<ssize_t (*)(int, void*, size_t)>("read");
-  c.write = next_symbol<ssize_t (*)(int, const void*, size_t)>("write");
-  c.pread = next_symbol<ssize_t (*)(int, void*, size_t, off_t)>("pread");
-  c.pwrite =
-      next_symbol<ssize_t (*)(int, const void*, size_t, off_t)>("pwrite");
-  c.lseek = next_symbol<off_t (*)(int, off_t, int)>("lseek");
-  c.dup = next_symbol<int (*)(int)>("dup");
-  c.dup2 = next_symbol<int (*)(int, int)>("dup2");
-  c.fsync = next_symbol<int (*)(int)>("fsync");
-  c.fdatasync = next_symbol<int (*)(int)>("fdatasync");
-  c.ftruncate = next_symbol<int (*)(int, off_t)>("ftruncate");
-  c.truncate = next_symbol<int (*)(const char*, off_t)>("truncate");
-  c.unlink = next_symbol<int (*)(const char*)>("unlink");
-  c.access = next_symbol<int (*)(const char*, int)>("access");
-  c.stat = next_symbol<int (*)(const char*, struct ::stat*)>("stat");
-  c.lstat = next_symbol<int (*)(const char*, struct ::stat*)>("lstat");
-  c.fstat = next_symbol<int (*)(int, struct ::stat*)>("fstat");
-  c.rename = next_symbol<int (*)(const char*, const char*)>("rename");
-  c.mkdir = next_symbol<int (*)(const char*, mode_t)>("mkdir");
-  c.rmdir = next_symbol<int (*)(const char*)>("rmdir");
-  return c;
-}
+#undef LDPLFS_ALIAS
 
+/// The Router's passthrough table, taken from libc(). mkdir and rmdir are
+/// not interposed, so libc's own are their passthrough.
 const RealCalls& real() {
-  static const RealCalls calls = resolve_real_calls();
+  static const RealCalls calls = [] {
+    const Libc& l = libc();
+    RealCalls c;
+    // The Router always passes open's mode, so the variadic open serves.
+    c.open = reinterpret_cast<int (*)(const char*, int, mode_t)>(l.open);
+    c.close = l.close;
+    c.read = l.read;
+    c.write = l.write;
+    c.pread = l.pread;
+    c.pwrite = l.pwrite;
+    c.lseek = l.lseek;
+    c.dup = l.dup;
+    c.dup2 = l.dup2;
+    c.fsync = l.fsync;
+    c.fdatasync = l.fdatasync;
+    c.ftruncate = l.ftruncate;
+    c.truncate = l.truncate;
+    c.unlink = l.unlink;
+    c.access = l.access;
+    c.stat = l.stat;
+    c.lstat = l.lstat;
+    c.fstat = l.fstat;
+    c.rename = l.rename;
+    c.mkdir = ::mkdir;
+    c.rmdir = ::rmdir;
+    return c;
+  }();
   return calls;
 }
 
@@ -98,7 +145,7 @@ const RealCalls& real() {
 Router& router() {
   static Router instance = [] {
     MountTable::instance().load_from_env();
-    LDPLFS_LOG_INFO("libldplfs loaded; %zu mount point(s)",
+    LDPLFS_LOG_INFO("ldplfs interposition active; %zu mount point(s)",
                     MountTable::instance().mounts().size());
     return Router(real(), MountTable::instance());
   }();
@@ -115,6 +162,11 @@ class ReentryGuard {
   [[nodiscard]] bool outermost() const { return g_in_ldplfs == 1; }
 };
 
+/// open(2)'s mode argument is present iff O_CREAT or O_TMPFILE is.
+constexpr bool takes_mode(int flags) {
+  return (flags & O_CREAT) != 0 || (flags & O_TMPFILE) == O_TMPFILE;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -125,154 +177,137 @@ class ReentryGuard {
 
 extern "C" {
 
-int open(const char* path, int flags, ...) {
+int LDPLFS_ENTRY(open)(const char* path, int flags, ...) {
   mode_t mode = 0;
-  if ((flags & O_CREAT) != 0
-#ifdef O_TMPFILE
-      || (flags & O_TMPFILE) == O_TMPFILE
-#endif
-  ) {
+  if (takes_mode(flags)) {
     va_list args;
     va_start(args, flags);
     mode = static_cast<mode_t>(va_arg(args, int));
     va_end(args);
   }
   ReentryGuard guard;
-  if (!guard.outermost()) return real().open(path, flags, mode);
+  if (!guard.outermost()) return libc().open(path, flags, mode);
   return router().open(path, flags, mode);
 }
 
-int open64(const char* path, int flags, ...) {
+int LDPLFS_ENTRY(open64)(const char* path, int flags, ...) {
   mode_t mode = 0;
-  if ((flags & O_CREAT) != 0
-#ifdef O_TMPFILE
-      || (flags & O_TMPFILE) == O_TMPFILE
-#endif
-  ) {
+  if (takes_mode(flags)) {
     va_list args;
     va_start(args, flags);
     mode = static_cast<mode_t>(va_arg(args, int));
     va_end(args);
   }
-  ReentryGuard guard;
-  if (!guard.outermost()) return real().open(path, flags | O_LARGEFILE, mode);
-  return router().open(path, flags | O_LARGEFILE, mode);
+  return LDPLFS_ENTRY(open)(path, flags | O_LARGEFILE, mode);
 }
 
-int creat(const char* path, mode_t mode) {
-  ReentryGuard guard;
-  if (!guard.outermost()) {
-    return real().open(path, O_WRONLY | O_CREAT | O_TRUNC, mode);
-  }
-  return router().creat(path, mode);
+int LDPLFS_ENTRY(creat)(const char* path, mode_t mode) {
+  return LDPLFS_ENTRY(open)(path, O_WRONLY | O_CREAT | O_TRUNC, mode);
 }
 
-int close(int fd) {
+int LDPLFS_ENTRY(close)(int fd) {
   ReentryGuard guard;
-  if (!guard.outermost()) return real().close(fd);
+  if (!guard.outermost()) return libc().close(fd);
   return router().close(fd);
 }
 
-ssize_t read(int fd, void* buf, size_t count) {
+ssize_t LDPLFS_ENTRY(read)(int fd, void* buf, size_t count) {
   ReentryGuard guard;
-  if (!guard.outermost()) return real().read(fd, buf, count);
+  if (!guard.outermost()) return libc().read(fd, buf, count);
   return router().read(fd, buf, count);
 }
 
-ssize_t write(int fd, const void* buf, size_t count) {
+ssize_t LDPLFS_ENTRY(write)(int fd, const void* buf, size_t count) {
   ReentryGuard guard;
-  if (!guard.outermost()) return real().write(fd, buf, count);
+  if (!guard.outermost()) return libc().write(fd, buf, count);
   return router().write(fd, buf, count);
 }
 
-ssize_t pread(int fd, void* buf, size_t count, off_t offset) {
+ssize_t LDPLFS_ENTRY(pread)(int fd, void* buf, size_t count, off_t offset) {
   ReentryGuard guard;
-  if (!guard.outermost()) return real().pread(fd, buf, count, offset);
+  if (!guard.outermost()) return libc().pread(fd, buf, count, offset);
   return router().pread(fd, buf, count, offset);
 }
 
-ssize_t pwrite(int fd, const void* buf, size_t count, off_t offset) {
+ssize_t LDPLFS_ENTRY(pwrite)(int fd, const void* buf, size_t count,
+                             off_t offset) {
   ReentryGuard guard;
-  if (!guard.outermost()) return real().pwrite(fd, buf, count, offset);
+  if (!guard.outermost()) return libc().pwrite(fd, buf, count, offset);
   return router().pwrite(fd, buf, count, offset);
 }
 
-ssize_t readv(int fd, const struct ::iovec* iov, int iovcnt) {
-  using ReadvFn = ssize_t (*)(int, const struct ::iovec*, int);
-  static ReadvFn real_readv = next_symbol<ReadvFn>("readv");
+ssize_t LDPLFS_ENTRY(pread64)(int fd, void* buf, size_t count, off_t offset) {
+  return LDPLFS_ENTRY(pread)(fd, buf, count, offset);
+}
+
+ssize_t LDPLFS_ENTRY(pwrite64)(int fd, const void* buf, size_t count,
+                               off_t offset) {
+  return LDPLFS_ENTRY(pwrite)(fd, buf, count, offset);
+}
+
+ssize_t LDPLFS_ENTRY(readv)(int fd, const struct ::iovec* iov, int iovcnt) {
   ReentryGuard guard;
   if (!guard.outermost() || !router().is_plfs_fd(fd)) {
-    return real_readv(fd, iov, iovcnt);
+    return libc().readv(fd, iov, iovcnt);
   }
   return router().readv(fd, iov, iovcnt);
 }
 
-ssize_t writev(int fd, const struct ::iovec* iov, int iovcnt) {
-  using WritevFn = ssize_t (*)(int, const struct ::iovec*, int);
-  static WritevFn real_writev = next_symbol<WritevFn>("writev");
+ssize_t LDPLFS_ENTRY(writev)(int fd, const struct ::iovec* iov, int iovcnt) {
   ReentryGuard guard;
   if (!guard.outermost() || !router().is_plfs_fd(fd)) {
-    return real_writev(fd, iov, iovcnt);
+    return libc().writev(fd, iov, iovcnt);
   }
   return router().writev(fd, iov, iovcnt);
 }
 
-ssize_t preadv(int fd, const struct ::iovec* iov, int iovcnt, off_t offset) {
-  using PreadvFn = ssize_t (*)(int, const struct ::iovec*, int, off_t);
-  static PreadvFn real_preadv = next_symbol<PreadvFn>("preadv");
+ssize_t LDPLFS_ENTRY(preadv)(int fd, const struct ::iovec* iov, int iovcnt,
+                             off_t offset) {
   ReentryGuard guard;
   if (!guard.outermost() || !router().is_plfs_fd(fd)) {
-    return real_preadv(fd, iov, iovcnt, offset);
+    return libc().preadv(fd, iov, iovcnt, offset);
   }
   return router().preadv(fd, iov, iovcnt, offset);
 }
 
-ssize_t pwritev(int fd, const struct ::iovec* iov, int iovcnt, off_t offset) {
-  using PwritevFn = ssize_t (*)(int, const struct ::iovec*, int, off_t);
-  static PwritevFn real_pwritev = next_symbol<PwritevFn>("pwritev");
+ssize_t LDPLFS_ENTRY(pwritev)(int fd, const struct ::iovec* iov, int iovcnt,
+                              off_t offset) {
   ReentryGuard guard;
   if (!guard.outermost() || !router().is_plfs_fd(fd)) {
-    return real_pwritev(fd, iov, iovcnt, offset);
+    return libc().pwritev(fd, iov, iovcnt, offset);
   }
   return router().pwritev(fd, iov, iovcnt, offset);
 }
 
-ssize_t preadv64(int fd, const struct ::iovec* iov, int iovcnt, off_t offset) {
-  return preadv(fd, iov, iovcnt, offset);
+ssize_t LDPLFS_ENTRY(preadv64)(int fd, const struct ::iovec* iov, int iovcnt,
+                               off_t offset) {
+  return LDPLFS_ENTRY(preadv)(fd, iov, iovcnt, offset);
 }
 
-ssize_t pwritev64(int fd, const struct ::iovec* iov, int iovcnt,
-                  off_t offset) {
-  return pwritev(fd, iov, iovcnt, offset);
+ssize_t LDPLFS_ENTRY(pwritev64)(int fd, const struct ::iovec* iov, int iovcnt,
+                                off_t offset) {
+  return LDPLFS_ENTRY(pwritev)(fd, iov, iovcnt, offset);
 }
 
-ssize_t pread64(int fd, void* buf, size_t count, off_t offset) {
-  return pread(fd, buf, count, offset);
-}
-
-ssize_t pwrite64(int fd, const void* buf, size_t count, off_t offset) {
-  return pwrite(fd, buf, count, offset);
-}
-
-off_t lseek(int fd, off_t offset, int whence) {
+off_t LDPLFS_ENTRY(lseek)(int fd, off_t offset, int whence) {
   ReentryGuard guard;
-  if (!guard.outermost()) return real().lseek(fd, offset, whence);
+  if (!guard.outermost()) return libc().lseek(fd, offset, whence);
   return router().lseek(fd, offset, whence);
 }
 
-off_t lseek64(int fd, off_t offset, int whence) {
-  return lseek(fd, offset, whence);
+off_t LDPLFS_ENTRY(lseek64)(int fd, off_t offset, int whence) {
+  return LDPLFS_ENTRY(lseek)(fd, offset, whence);
 }
 
-int dup(int fd) {
+int LDPLFS_ENTRY(dup)(int fd) {
   ReentryGuard guard;
-  if (!guard.outermost()) return real().dup(fd);
+  if (!guard.outermost()) return libc().dup(fd);
   return router().dup(fd);
 }
 
-int dup2(int oldfd, int newfd) {
+int LDPLFS_ENTRY(dup2)(int oldfd, int newfd) {
   ReentryGuard guard;
-  if (!guard.outermost()) return real().dup2(oldfd, newfd);
+  if (!guard.outermost()) return libc().dup2(oldfd, newfd);
   return router().dup2(oldfd, newfd);
 }
 
@@ -282,85 +317,87 @@ int dup2(int oldfd, int newfd) {
 // pass it through. F_DUPFD on a routed fd must register the duplicate in
 // the fd table exactly like dup() — missing that was the same bug class as
 // the dup2 aliasing fix.
-int fcntl(int fd, int cmd, ...) {
+int LDPLFS_ENTRY(fcntl)(int fd, int cmd, ...) {
   va_list args;
   va_start(args, cmd);
   const long arg = va_arg(args, long);
   va_end(args);
-  static const auto real_fcntl =
-      next_symbol<int (*)(int, int, long)>("fcntl");
   ReentryGuard guard;
   if (!guard.outermost() || !router().is_plfs_fd(fd)) {
-    return real_fcntl(fd, cmd, arg);
+    return libc().fcntl(fd, cmd, arg);
   }
   return router().fcntl(fd, cmd, arg);
 }
 
-int fcntl64(int fd, int cmd, ...) {
+int LDPLFS_ENTRY(fcntl64)(int fd, int cmd, ...) {
   va_list args;
   va_start(args, cmd);
   const long arg = va_arg(args, long);
   va_end(args);
-  static const auto real_fcntl64 =
-      next_symbol<int (*)(int, int, long)>("fcntl64");
   ReentryGuard guard;
   if (!guard.outermost() || !router().is_plfs_fd(fd)) {
-    return real_fcntl64(fd, cmd, arg);
+    return libc().fcntl64(fd, cmd, arg);
   }
   return router().fcntl(fd, cmd, arg);
 }
 
-int fsync(int fd) {
+int LDPLFS_ENTRY(fsync)(int fd) {
   ReentryGuard guard;
-  if (!guard.outermost()) return real().fsync(fd);
+  if (!guard.outermost()) return libc().fsync(fd);
   return router().fsync(fd);
 }
 
-int fdatasync(int fd) {
+int LDPLFS_ENTRY(fdatasync)(int fd) {
   ReentryGuard guard;
-  if (!guard.outermost()) return real().fdatasync(fd);
+  if (!guard.outermost()) return libc().fdatasync(fd);
   return router().fdatasync(fd);
 }
 
-int ftruncate(int fd, off_t length) {
+int LDPLFS_ENTRY(ftruncate)(int fd, off_t length) {
   ReentryGuard guard;
-  if (!guard.outermost()) return real().ftruncate(fd, length);
+  if (!guard.outermost()) return libc().ftruncate(fd, length);
   return router().ftruncate(fd, length);
 }
 
-int truncate(const char* path, off_t length) {
+int LDPLFS_ENTRY(truncate)(const char* path, off_t length) {
   ReentryGuard guard;
-  if (!guard.outermost()) return real().truncate(path, length);
+  if (!guard.outermost()) return libc().truncate(path, length);
   return router().truncate(path, length);
 }
 
-int unlink(const char* path) {
+int LDPLFS_ENTRY(unlink)(const char* path) {
   ReentryGuard guard;
-  if (!guard.outermost()) return real().unlink(path);
+  if (!guard.outermost()) return libc().unlink(path);
   return router().unlink(path);
 }
 
-int access(const char* path, int amode) {
+int LDPLFS_ENTRY(access)(const char* path, int amode) {
   ReentryGuard guard;
-  if (!guard.outermost()) return real().access(path, amode);
+  if (!guard.outermost()) return libc().access(path, amode);
   return router().access(path, amode);
 }
 
-int stat(const char* path, struct ::stat* st) {
+int LDPLFS_ENTRY(rename)(const char* from, const char* to) {
   ReentryGuard guard;
-  if (!guard.outermost()) return real().stat(path, st);
+  if (!guard.outermost()) return libc().rename(from, to);
+  return router().rename(from, to);
+}
+
+int LDPLFS_ENTRY(stat)(const char* path, struct ::stat* st) {
+  ReentryGuard guard;
+  if (!guard.outermost()) return libc().stat(path, st);
   return router().stat(path, st);
 }
 
-int lstat(const char* path, struct ::stat* st) {
+int LDPLFS_ENTRY(lstat)(const char* path, struct ::stat* st) {
   ReentryGuard guard;
-  if (!guard.outermost()) return real().lstat(path, st);
+  if (!guard.outermost()) return libc().lstat(path, st);
   return router().lstat(path, st);
 }
 
-int fstat(int fd, struct ::stat* st) {
+int LDPLFS_ENTRY(fstat)(int fd, struct ::stat* st) {
   ReentryGuard guard;
-  if (!guard.outermost()) return real().fstat(fd, st);
+  if (!guard.outermost()) return libc().fstat(fd, st);
   return router().fstat(fd, st);
 }
 
@@ -386,46 +423,68 @@ static void copy_stat_to_stat64(const struct ::stat& in, struct ::stat64* out) {
   out->st_ctim = in.st_ctim;
 }
 
-int stat64(const char* path, struct ::stat64* st) {
+// statx's form of the same answer: every STATX_BASIC_STATS field, which is
+// exactly what stx_mask reports. stx_ino and stx_dev_* must carry
+// Router::fill_stat's identity: zeros would make every container a hard
+// link of every other.
+static void copy_stat_to_statx(const struct ::stat& in, struct ::statx* out) {
+  auto stamp = [](const struct ::timespec& t) {
+    struct ::statx_timestamp s{};
+    s.tv_sec = t.tv_sec;
+    s.tv_nsec = static_cast<std::uint32_t>(t.tv_nsec);
+    return s;
+  };
+  *out = {};
+  out->stx_mask = STATX_BASIC_STATS;
+  out->stx_blksize = static_cast<std::uint32_t>(in.st_blksize);
+  out->stx_nlink = static_cast<std::uint32_t>(in.st_nlink);
+  out->stx_uid = in.st_uid;
+  out->stx_gid = in.st_gid;
+  out->stx_mode = static_cast<std::uint16_t>(in.st_mode);
+  out->stx_ino = in.st_ino;
+  out->stx_size = static_cast<std::uint64_t>(in.st_size);
+  out->stx_blocks = static_cast<std::uint64_t>(in.st_blocks);
+  out->stx_atime = stamp(in.st_atim);
+  out->stx_mtime = stamp(in.st_mtim);
+  out->stx_ctime = stamp(in.st_ctim);
+  out->stx_dev_major = major(in.st_dev);
+  out->stx_dev_minor = minor(in.st_dev);
+}
+
+int LDPLFS_ENTRY(stat64)(const char* path, struct ::stat64* st) {
   struct ::stat tmp{};
-  const int rc = stat(path, &tmp);  // the interposer above; guard inside
+  const int rc = LDPLFS_ENTRY(stat)(path, &tmp);
   if (rc == 0) copy_stat_to_stat64(tmp, st);
   return rc;
 }
 
-int lstat64(const char* path, struct ::stat64* st) {
+int LDPLFS_ENTRY(lstat64)(const char* path, struct ::stat64* st) {
   struct ::stat tmp{};
-  const int rc = lstat(path, &tmp);
+  const int rc = LDPLFS_ENTRY(lstat)(path, &tmp);
   if (rc == 0) copy_stat_to_stat64(tmp, st);
   return rc;
 }
 
-int fstat64(int fd, struct ::stat64* st) {
+int LDPLFS_ENTRY(fstat64)(int fd, struct ::stat64* st) {
   struct ::stat tmp{};
-  const int rc = fstat(fd, &tmp);
+  const int rc = LDPLFS_ENTRY(fstat)(fd, &tmp);
   if (rc == 0) copy_stat_to_stat64(tmp, st);
   return rc;
 }
 
-int __xstat(int ver, const char* path, struct ::stat* st) {
+int LDPLFS_ENTRY(__xstat)(int ver, const char* path, struct ::stat* st) {
   (void)ver;
-  return stat(path, st);
+  return LDPLFS_ENTRY(stat)(path, st);
 }
 
-int __lxstat(int ver, const char* path, struct ::stat* st) {
+int LDPLFS_ENTRY(__lxstat)(int ver, const char* path, struct ::stat* st) {
   (void)ver;
-  return lstat(path, st);
+  return LDPLFS_ENTRY(lstat)(path, st);
 }
 
-int __fxstat(int ver, int fd, struct ::stat* st) {
+int LDPLFS_ENTRY(__fxstat)(int ver, int fd, struct ::stat* st) {
   (void)ver;
-  return fstat(fd, st);
-}
-
-int rename(const char* from, const char* to) {
-  ReentryGuard guard;
-  if (!guard.outermost()) return real().rename(from, to);
-  return router().rename(from, to);
+  return LDPLFS_ENTRY(fstat)(fd, st);
 }
 
 // ---------------------------------------------------------------------------
@@ -440,132 +499,117 @@ static bool routable_at(int dirfd, const char* path) {
   return path != nullptr && (dirfd == AT_FDCWD || path[0] == '/');
 }
 
-int openat(int dirfd, const char* path, int flags, ...) {
+/// stat_at result meaning "not a PLFS file — pass through".
+constexpr int kNotPlfs = -2;
+
+/// The stat answer for a container named by an fstatat/statx call: by
+/// path, or as the open routed fd itself with AT_EMPTY_PATH (Rust's
+/// File::metadata asks statx this way), which must not describe the empty
+/// shadow behind the fd. kNotPlfs otherwise; must run inside the guard.
+static int stat_at(int dirfd, const char* path, int at_flags,
+                   struct ::stat* st) {
+  if ((at_flags & AT_EMPTY_PATH) != 0 && (path == nullptr || *path == '\0') &&
+      router().is_plfs_fd(dirfd)) {
+    return router().fstat(dirfd, st);
+  }
+  // Containers are never symlinks, so AT_SYMLINK_NOFOLLOW is moot.
+  if (routable_at(dirfd, path) && router().path_is_container(path)) {
+    return router().stat(path, st);
+  }
+  return kNotPlfs;
+}
+
+int LDPLFS_ENTRY(openat)(int dirfd, const char* path, int flags, ...) {
   mode_t mode = 0;
-  if ((flags & O_CREAT) != 0
-#ifdef O_TMPFILE
-      || (flags & O_TMPFILE) == O_TMPFILE
-#endif
-  ) {
+  if (takes_mode(flags)) {
     va_list args;
     va_start(args, flags);
     mode = static_cast<mode_t>(va_arg(args, int));
     va_end(args);
   }
-  using OpenatFn = int (*)(int, const char*, int, ...);
-  static OpenatFn real_openat = next_symbol<OpenatFn>("openat");
   ReentryGuard guard;
   if (guard.outermost() && routable_at(dirfd, path)) {
     return router().open(path, flags, mode);
   }
-  return real_openat(dirfd, path, flags, mode);
+  return libc().openat(dirfd, path, flags, mode);
 }
 
-int openat64(int dirfd, const char* path, int flags, ...) {
+int LDPLFS_ENTRY(openat64)(int dirfd, const char* path, int flags, ...) {
   mode_t mode = 0;
-  if ((flags & O_CREAT) != 0
-#ifdef O_TMPFILE
-      || (flags & O_TMPFILE) == O_TMPFILE
-#endif
-  ) {
+  if (takes_mode(flags)) {
     va_list args;
     va_start(args, flags);
     mode = static_cast<mode_t>(va_arg(args, int));
     va_end(args);
   }
-  return openat(dirfd, path, flags | O_LARGEFILE, mode);
+  return LDPLFS_ENTRY(openat)(dirfd, path, flags | O_LARGEFILE, mode);
 }
 
-int fstatat(int dirfd, const char* path, struct ::stat* st, int at_flags) {
-  using FstatatFn = int (*)(int, const char*, struct ::stat*, int);
-  static FstatatFn real_fstatat = next_symbol<FstatatFn>("fstatat");
+int LDPLFS_ENTRY(fstatat)(int dirfd, const char* path, struct ::stat* st,
+                          int at_flags) {
   ReentryGuard guard;
-  if (guard.outermost() && routable_at(dirfd, path) &&
-      router().path_is_container(path)) {
-    // Containers are never symlinks, so AT_SYMLINK_NOFOLLOW is moot.
-    return router().stat(path, st);
+  if (guard.outermost()) {
+    const int rc = stat_at(dirfd, path, at_flags, st);
+    if (rc != kNotPlfs) return rc;
   }
-  return real_fstatat(dirfd, path, st, at_flags);
+  return libc().fstatat(dirfd, path, st, at_flags);
 }
 
-int fstatat64(int dirfd, const char* path, struct ::stat64* st, int at_flags) {
+int LDPLFS_ENTRY(fstatat64)(int dirfd, const char* path, struct ::stat64* st,
+                            int at_flags) {
   // Same layout bug as the stat64 family above: never alias the stat64
   // buffer as a struct stat — fill one properly and convert.
   struct ::stat tmp{};
-  const int rc = fstatat(dirfd, path, &tmp, at_flags);
+  const int rc = LDPLFS_ENTRY(fstatat)(dirfd, path, &tmp, at_flags);
   if (rc == 0) copy_stat_to_stat64(tmp, st);
   return rc;
 }
 
-int newfstatat(int dirfd, const char* path, struct ::stat* st, int at_flags) {
-  return fstatat(dirfd, path, st, at_flags);
-}
-
-int __fxstatat(int ver, int dirfd, const char* path, struct ::stat* st,
-               int at_flags) {
+int LDPLFS_ENTRY(__fxstatat)(int ver, int dirfd, const char* path,
+                             struct ::stat* st, int at_flags) {
   (void)ver;
-  return fstatat(dirfd, path, st, at_flags);
+  return LDPLFS_ENTRY(fstatat)(dirfd, path, st, at_flags);
 }
 
-int statx(int dirfd, const char* path, int at_flags, unsigned int mask,
-          struct ::statx* stx) {
-  using StatxFn = int (*)(int, const char*, int, unsigned int,
-                          struct ::statx*);
-  static StatxFn real_statx = next_symbol<StatxFn>("statx");
+int LDPLFS_ENTRY(statx)(int dirfd, const char* path, int at_flags,
+                        unsigned int mask, struct ::statx* stx) {
   ReentryGuard guard;
-  if (guard.outermost() && routable_at(dirfd, path) &&
-      router().path_is_container(path)) {
+  if (guard.outermost()) {
     struct ::stat st{};
-    if (router().stat(path, &st) != 0) return -1;
-    *stx = {};
-    stx->stx_mask = STATX_BASIC_STATS & mask;
-    stx->stx_blksize = static_cast<std::uint32_t>(st.st_blksize);
-    stx->stx_nlink = static_cast<std::uint32_t>(st.st_nlink);
-    stx->stx_uid = st.st_uid;
-    stx->stx_gid = st.st_gid;
-    stx->stx_mode = static_cast<std::uint16_t>(st.st_mode);
-    stx->stx_size = static_cast<std::uint64_t>(st.st_size);
-    stx->stx_blocks = static_cast<std::uint64_t>(st.st_blocks);
-    stx->stx_mtime.tv_sec = st.st_mtime;
-    stx->stx_atime.tv_sec = st.st_atime;
-    stx->stx_ctime.tv_sec = st.st_ctime;
-    return 0;
+    const int rc = stat_at(dirfd, path, at_flags, &st);
+    if (rc == 0) copy_stat_to_statx(st, stx);
+    if (rc != kNotPlfs) return rc;
   }
-  return real_statx(dirfd, path, at_flags, mask, stx);
+  return libc().statx(dirfd, path, at_flags, mask, stx);
 }
 
-int unlinkat(int dirfd, const char* path, int at_flags) {
-  using UnlinkatFn = int (*)(int, const char*, int);
-  static UnlinkatFn real_unlinkat = next_symbol<UnlinkatFn>("unlinkat");
+int LDPLFS_ENTRY(unlinkat)(int dirfd, const char* path, int at_flags) {
   ReentryGuard guard;
   if (guard.outermost() && routable_at(dirfd, path) &&
       (at_flags & AT_REMOVEDIR) == 0 && router().path_is_container(path)) {
     return router().unlink(path);
   }
-  return real_unlinkat(dirfd, path, at_flags);
+  return libc().unlinkat(dirfd, path, at_flags);
 }
 
-int renameat(int olddirfd, const char* oldpath, int newdirfd,
-             const char* newpath) {
-  using RenameatFn = int (*)(int, const char*, int, const char*);
-  static RenameatFn real_renameat = next_symbol<RenameatFn>("renameat");
+int LDPLFS_ENTRY(renameat)(int olddirfd, const char* oldpath, int newdirfd,
+                           const char* newpath) {
   ReentryGuard guard;
   if (guard.outermost() && routable_at(olddirfd, oldpath) &&
       routable_at(newdirfd, newpath) && router().path_is_container(oldpath)) {
     return router().rename(oldpath, newpath);
   }
-  return real_renameat(olddirfd, oldpath, newdirfd, newpath);
+  return libc().renameat(olddirfd, oldpath, newdirfd, newpath);
 }
 
-int faccessat(int dirfd, const char* path, int amode, int at_flags) {
-  using FaccessatFn = int (*)(int, const char*, int, int);
-  static FaccessatFn real_faccessat = next_symbol<FaccessatFn>("faccessat");
+int LDPLFS_ENTRY(faccessat)(int dirfd, const char* path, int amode,
+                            int at_flags) {
   ReentryGuard guard;
   if (guard.outermost() && routable_at(dirfd, path) &&
       router().path_is_container(path)) {
     return router().access(path, amode);
   }
-  return real_faccessat(dirfd, path, amode, at_flags);
+  return libc().faccessat(dirfd, path, amode, at_flags);
 }
 
 // ---------------------------------------------------------------------------
@@ -595,7 +639,7 @@ int flat_in_fd(int fd, std::uint64_t* size_out) {
   auto flat = ldplfs::plfs::plfs_flat_dropping(of->handle().path());
   if (!flat) return -1;
   *size_out = flat.value().size;
-  return real().open(flat.value().dropping_abs.c_str(), O_RDONLY, 0);
+  return libc().open(flat.value().dropping_abs.c_str(), O_RDONLY);
 }
 
 /// Shared zero-copy harness: resolve the flat dropping behind `fd_in`,
@@ -617,7 +661,7 @@ ssize_t flat_zero_copy(int fd_in, off64_t* off_in, size_t len,
     const off_t cur = router().lseek(fd_in, 0, SEEK_CUR);
     if (cur < 0) {
       const int saved = errno;
-      real().close(src);
+      libc().close(src);
       errno = saved;
       return -1;
     }
@@ -633,7 +677,7 @@ ssize_t flat_zero_copy(int fd_in, off64_t* off_in, size_t len,
   ssize_t n = 0;
   if (want > 0) n = do_copy(src, local, want);
   const int saved = errno;
-  real().close(src);
+  libc().close(src);
   errno = saved;
   if (n < 0) return -1;
   if (n > 0) {
@@ -652,28 +696,36 @@ ssize_t flat_zero_copy(int fd_in, off64_t* off_in, size_t len,
 
 ssize_t emulated_copy(int fd_in, off64_t* off_in, int fd_out,
                       off64_t* off_out, size_t len) {
-  // Reads and writes below go through the interposed symbols on purpose:
-  // each side independently routes to PLFS or the real fd.
-  static thread_local char buf[1 << 20];
+  // Reads and writes below go through the entry points on purpose: each
+  // side independently routes to PLFS or the real fd. The buffer is per
+  // call, not thread_local: glibc zero-fills the TLS block in every thread
+  // of every process that loads the shim, mount or no mount.
+  const size_t cap = std::min<size_t>(len, size_t{1} << 20);
+  const std::unique_ptr<char[]> buf(new (std::nothrow) char[cap]);
+  if (buf == nullptr) {
+    errno = ENOMEM;
+    return -1;
+  }
   size_t total = 0;
   while (total < len) {
-    const size_t chunk = std::min(len - total, sizeof buf);
+    const size_t chunk = std::min(len - total, cap);
     ssize_t n;
     if (off_in != nullptr) {
-      n = pread(fd_in, buf, chunk, static_cast<off_t>(*off_in));
+      n = LDPLFS_ENTRY(pread)(fd_in, buf.get(), chunk,
+                              static_cast<off_t>(*off_in));
       if (n > 0) *off_in += n;
     } else {
-      n = read(fd_in, buf, chunk);
+      n = LDPLFS_ENTRY(read)(fd_in, buf.get(), chunk);
     }
     if (n < 0) return total > 0 ? static_cast<ssize_t>(total) : -1;
     if (n == 0) break;
     ssize_t w;
     if (off_out != nullptr) {
-      w = pwrite(fd_out, buf, static_cast<size_t>(n),
-                 static_cast<off_t>(*off_out));
+      w = LDPLFS_ENTRY(pwrite)(fd_out, buf.get(), static_cast<size_t>(n),
+                               static_cast<off_t>(*off_out));
       if (w > 0) *off_out += w;
     } else {
-      w = write(fd_out, buf, static_cast<size_t>(n));
+      w = LDPLFS_ENTRY(write)(fd_out, buf.get(), static_cast<size_t>(n));
     }
     if (w < 0) return total > 0 ? static_cast<ssize_t>(total) : -1;
     total += static_cast<size_t>(w);
@@ -685,23 +737,23 @@ ssize_t emulated_copy(int fd_in, off64_t* off_in, int fd_out,
 }  // namespace
 }  // extern "C++"
 
-ssize_t copy_file_range(int fd_in, off64_t* off_in, int fd_out,
-                        off64_t* off_out, size_t len, unsigned int cfr_flags) {
-  using CfrFn =
-      ssize_t (*)(int, off64_t*, int, off64_t*, size_t, unsigned int);
-  static CfrFn real_cfr = next_symbol<CfrFn>("copy_file_range");
+ssize_t LDPLFS_ENTRY(copy_file_range)(int fd_in, off64_t* off_in, int fd_out,
+                                      off64_t* off_out, size_t len,
+                                      unsigned int cfr_flags) {
   {
     ReentryGuard guard;
     const bool in_plfs = guard.outermost() && router().is_plfs_fd(fd_in);
     const bool out_plfs = guard.outermost() && router().is_plfs_fd(fd_out);
     if (!guard.outermost() || (!in_plfs && !out_plfs)) {
-      return real_cfr(fd_in, off_in, fd_out, off_out, len, cfr_flags);
+      return libc().copy_file_range(fd_in, off_in, fd_out, off_out, len,
+                                    cfr_flags);
     }
     if (in_plfs && !out_plfs) {
       const ssize_t n = flat_zero_copy(
           fd_in, off_in, len, [&](int src, off64_t at, size_t want) {
             off64_t src_off = at;
-            return real_cfr(src, &src_off, fd_out, off_out, want, cfr_flags);
+            return libc().copy_file_range(src, &src_off, fd_out, off_out,
+                                          want, cfr_flags);
           });
       if (n != kNotFlat) return n;
     }
@@ -710,81 +762,50 @@ ssize_t copy_file_range(int fd_in, off64_t* off_in, int fd_out,
   return emulated_copy(fd_in, off_in, fd_out, off_out, len);
 }
 
-ssize_t sendfile(int out_fd, int in_fd, off_t* offset, size_t count) {
-  using SendfileFn = ssize_t (*)(int, int, off_t*, size_t);
-  static SendfileFn real_sendfile = next_symbol<SendfileFn>("sendfile");
-  off64_t off64_local = offset != nullptr ? *offset : 0;
-  off64_t* off_in = offset != nullptr ? &off64_local : nullptr;
+ssize_t LDPLFS_ENTRY(sendfile64)(int out_fd, int in_fd, off64_t* offset,
+                                 size_t count) {
   {
     ReentryGuard guard;
     const bool in_plfs = guard.outermost() && router().is_plfs_fd(in_fd);
     const bool out_plfs = guard.outermost() && router().is_plfs_fd(out_fd);
     if (!guard.outermost() || (!in_plfs && !out_plfs)) {
-      return real_sendfile(out_fd, in_fd, offset, count);
-    }
-    if (in_plfs && !out_plfs) {
-      const ssize_t zn = flat_zero_copy(
-          in_fd, off_in, count, [&](int src, off64_t at, size_t want) {
-            off_t src_off = static_cast<off_t>(at);
-            return real_sendfile(out_fd, src, &src_off, want);
-          });
-      if (zn != kNotFlat) {
-        if (offset != nullptr && zn >= 0) {
-          *offset = static_cast<off_t>(off64_local);
-        }
-        return zn;
-      }
-    }
-  }
-  const ssize_t n = emulated_copy(in_fd, off_in, out_fd, nullptr, count);
-  if (offset != nullptr && n >= 0) *offset = static_cast<off_t>(off64_local);
-  return n;
-}
-
-ssize_t sendfile64(int out_fd, int in_fd, off64_t* offset, size_t count) {
-  using Sendfile64Fn = ssize_t (*)(int, int, off64_t*, size_t);
-  static Sendfile64Fn real_sendfile64 = next_symbol<Sendfile64Fn>("sendfile64");
-  {
-    ReentryGuard guard;
-    const bool in_plfs = guard.outermost() && router().is_plfs_fd(in_fd);
-    const bool out_plfs = guard.outermost() && router().is_plfs_fd(out_fd);
-    if (!guard.outermost() || (!in_plfs && !out_plfs)) {
-      return real_sendfile64(out_fd, in_fd, offset, count);
+      return libc().sendfile64(out_fd, in_fd, offset, count);
     }
     if (in_plfs && !out_plfs) {
       const ssize_t zn = flat_zero_copy(
           in_fd, offset, count, [&](int src, off64_t at, size_t want) {
             off64_t src_off = at;
-            return real_sendfile64(out_fd, src, &src_off, want);
+            return libc().sendfile64(out_fd, src, &src_off, want);
           });
       if (zn != kNotFlat) return zn;
     }
   }
-  const ssize_t n = emulated_copy(in_fd, offset, out_fd, nullptr, count);
+  return emulated_copy(in_fd, offset, out_fd, nullptr, count);
+}
+
+ssize_t LDPLFS_ENTRY(sendfile)(int out_fd, int in_fd, off_t* offset,
+                               size_t count) {
+  off64_t off64_local = offset != nullptr ? *offset : 0;
+  const ssize_t n = LDPLFS_ENTRY(sendfile64)(
+      out_fd, in_fd, offset != nullptr ? &off64_local : nullptr, count);
+  if (offset != nullptr && n >= 0) *offset = static_cast<off_t>(off64_local);
   return n;
 }
 
-int fallocate(int fd, int mode, off_t offset, off_t len) {
-  using FallocateFn = int (*)(int, int, off_t, off_t);
-  static FallocateFn real_fallocate = next_symbol<FallocateFn>("fallocate");
+int LDPLFS_ENTRY(fallocate)(int fd, int mode, off_t offset, off_t len) {
   ReentryGuard guard;
   if (!guard.outermost() || !router().is_plfs_fd(fd)) {
-    return real_fallocate(fd, mode, offset, len);
+    return libc().fallocate(fd, mode, offset, len);
   }
   // Preallocation is meaningless for a log-structured container; report
   // success so cp/tar-style preallocation does not abort the copy.
-  (void)mode;
-  (void)offset;
-  (void)len;
   return 0;
 }
 
-int posix_fallocate(int fd, off_t offset, off_t len) {
-  using PfFn = int (*)(int, off_t, off_t);
-  static PfFn real_pf = next_symbol<PfFn>("posix_fallocate");
+int LDPLFS_ENTRY(posix_fallocate)(int fd, off_t offset, off_t len) {
   ReentryGuard guard;
   if (!guard.outermost() || !router().is_plfs_fd(fd)) {
-    return real_pf(fd, offset, len);
+    return libc().posix_fallocate(fd, offset, len);
   }
   return 0;
 }
@@ -796,9 +817,8 @@ int posix_fallocate(int fd, off_t offset, off_t len) {
 // kernel-backed mapping (SplitFS-style data-path split; mmap consumers like
 // GNU grep get the page cache instead of the refusal slow path). Writable
 // MAP_SHARED requests and log-structured containers keep the deterministic
-// ENODEV refusal so callers fall back to read(2). mmap and mmap64 share the
-// off64_t implementation — the old route through mmap truncated large
-// offsets via the off_t cast.
+// ENODEV refusal so callers fall back to read(2). mmap forwards to mmap64,
+// so the offset reaches the dropping as off64_t, never cut to off_t.
 // ---------------------------------------------------------------------------
 
 extern "C++" {
@@ -813,18 +833,15 @@ std::map<void*, size_t>& app_maps() {
   return *maps;
 }
 
-void* mmap_impl(void* addr, size_t length, int prot, int mmap_flags, int fd,
-                off64_t offset) {
-  using Mmap64Fn = void* (*)(void*, size_t, int, int, int, off64_t);
-  static Mmap64Fn real_mmap64 = [] {
-    auto fn = next_symbol<Mmap64Fn>("mmap64");
-    // LP64 Linux: off_t == off64_t, mmap has the same ABI.
-    return fn != nullptr ? fn : next_symbol<Mmap64Fn>("mmap");
-  }();
+}  // namespace
+}  // extern "C++"
+
+void* LDPLFS_ENTRY(mmap64)(void* addr, size_t length, int prot,
+                           int mmap_flags, int fd, off64_t offset) {
   ReentryGuard guard;
   if (!guard.outermost() || fd < 0 || (mmap_flags & MAP_ANONYMOUS) != 0 ||
       !router().is_plfs_fd(fd)) {
-    return real_mmap64(addr, length, prot, mmap_flags, fd, offset);
+    return libc().mmap64(addr, length, prot, mmap_flags, fd, offset);
   }
 
   // Serve when nothing can write through the mapping into the dropping:
@@ -837,12 +854,12 @@ void* mmap_impl(void* addr, size_t length, int prot, int mmap_flags, int fd,
       (of->flags() & O_ACCMODE) == O_RDONLY) {
     auto flat = ldplfs::plfs::plfs_flat_dropping(of->handle().path());
     if (flat) {
-      const int dfd = real().open(flat.value().dropping_abs.c_str(),
-                                  O_RDONLY, 0);
+      const int dfd = libc().open(flat.value().dropping_abs.c_str(), O_RDONLY);
       if (dfd >= 0) {
-        void* base = real_mmap64(addr, length, prot, mmap_flags, dfd, offset);
+        void* base =
+            libc().mmap64(addr, length, prot, mmap_flags, dfd, offset);
         const int saved = errno;
-        real().close(dfd);
+        libc().close(dfd);
         errno = saved;
         if (base != MAP_FAILED) {
           std::lock_guard lock(g_app_maps_mu);
@@ -864,23 +881,13 @@ void* mmap_impl(void* addr, size_t length, int prot, int mmap_flags, int fd,
   return MAP_FAILED;
 }
 
-}  // namespace
-}  // extern "C++"
-
-void* mmap(void* addr, size_t length, int prot, int mmap_flags, int fd,
-           off_t offset) {
-  return mmap_impl(addr, length, prot, mmap_flags, fd,
-                   static_cast<off64_t>(offset));
+void* LDPLFS_ENTRY(mmap)(void* addr, size_t length, int prot, int mmap_flags,
+                         int fd, off_t offset) {
+  return LDPLFS_ENTRY(mmap64)(addr, length, prot, mmap_flags, fd,
+                              static_cast<off64_t>(offset));
 }
 
-void* mmap64(void* addr, size_t length, int prot, int mmap_flags, int fd,
-             off64_t offset) {
-  return mmap_impl(addr, length, prot, mmap_flags, fd, offset);
-}
-
-int munmap(void* addr, size_t length) {
-  using MunmapFn = int (*)(void*, size_t);
-  static MunmapFn real_munmap = next_symbol<MunmapFn>("munmap");
+int LDPLFS_ENTRY(munmap)(void* addr, size_t length) {
   {
     // Retire bookkeeping for a full unmap of a served base address; partial
     // unmaps keep the entry (the kernel splits the VMA either way).
@@ -890,7 +897,7 @@ int munmap(void* addr, size_t length) {
       maps.erase(it);
     }
   }
-  return real_munmap(addr, length);
+  return libc().munmap(addr, length);
 }
 
 // ---------------------------------------------------------------------------
@@ -930,15 +937,12 @@ static int cookie_close(void* cookie) {
   return router().close(fd);
 }
 
-FILE* fopen(const char* path, const char* mode) {
-  using FopenFn = FILE* (*)(const char*, const char*);
-  static FopenFn real_fopen = next_symbol<FopenFn>("fopen");
-
+FILE* LDPLFS_ENTRY(fopen)(const char* path, const char* mode) {
   ReentryGuard guard;
-  if (!guard.outermost() || path == nullptr || mode == nullptr) {
-    return real_fopen(path, mode);
+  if (!guard.outermost() || path == nullptr || mode == nullptr ||
+      !router().path_in_mount(path)) {
+    return libc().fopen(path, mode);
   }
-  if (!router().path_in_mount(path)) return real_fopen(path, mode);
 
   // Translate the stdio mode string to open(2) flags, honoring the glibc
   // modifiers: '+' (read-write), 'x' (O_EXCL — dropping it silently
@@ -981,6 +985,8 @@ FILE* fopen(const char* path, const char* mode) {
   return stream;
 }
 
-FILE* fopen64(const char* path, const char* mode) { return fopen(path, mode); }
+FILE* LDPLFS_ENTRY(fopen64)(const char* path, const char* mode) {
+  return LDPLFS_ENTRY(fopen)(path, mode);
+}
 
 }  // extern "C"

@@ -1,7 +1,9 @@
-// Victim program for LD_PRELOAD end-to-end tests. Deliberately built as a
-// plain POSIX/stdio binary with no LDPLFS linkage — the whole point is that
-// interposition must work on unmodified executables. Scenarios are selected
-// by argv[1]; nonzero exit = scenario assertion failed.
+// Victim program for the end-to-end tests of both front-ends. Deliberately
+// written as a plain POSIX/stdio program that never names LDPLFS — the whole
+// point is that interposition must work on unmodified code. preload_victim
+// gets the shim through LD_PRELOAD; wrap_victim is this source linked with
+// libldplfs_wrap.a and its --wrap flags. Scenarios are selected by argv[1];
+// nonzero exit = scenario assertion failed.
 #include <errno.h>
 #include <fcntl.h>
 #include <stdio.h>
@@ -10,6 +12,7 @@
 #include <sys/mman.h>
 #include <sys/sendfile.h>
 #include <sys/stat.h>
+#include <sys/sysmacros.h>
 #include <sys/uio.h>
 #include <time.h>
 #include <unistd.h>
@@ -492,6 +495,74 @@ int scenario_umask(const char* path) {
   return 0;
 }
 
+bool same_file(const struct stat& want, const struct stat& got,
+               const char* what) {
+  if (got.st_ino == want.st_ino && got.st_dev == want.st_dev &&
+      got.st_mode == want.st_mode && got.st_size == want.st_size &&
+      got.st_mtim.tv_sec == want.st_mtim.tv_sec &&
+      got.st_mtim.tv_nsec == want.st_mtim.tv_nsec) {
+    return true;
+  }
+  fprintf(stderr,
+          "%s: ino %llu dev %llu mode %o size %lld, want %llu %llu %o %lld\n",
+          what, static_cast<unsigned long long>(got.st_ino),
+          static_cast<unsigned long long>(got.st_dev), got.st_mode,
+          static_cast<long long>(got.st_size),
+          static_cast<unsigned long long>(want.st_ino),
+          static_cast<unsigned long long>(want.st_dev), want.st_mode,
+          static_cast<long long>(want.st_size));
+  return false;
+}
+
+/// statx's answer as a struct stat, for same_file; false unless statx
+/// reported every basic field.
+bool statx_as_stat(const struct statx& stx, struct stat* out) {
+  if ((stx.stx_mask & STATX_BASIC_STATS) != STATX_BASIC_STATS) {
+    fprintf(stderr, "statx mask %#x lacks basic stats\n", stx.stx_mask);
+    return false;
+  }
+  memset(out, 0, sizeof *out);
+  out->st_ino = stx.stx_ino;
+  out->st_dev = makedev(stx.stx_dev_major, stx.stx_dev_minor);
+  out->st_mode = stx.stx_mode;
+  out->st_size = static_cast<off_t>(stx.stx_size);
+  out->st_mtim.tv_sec = stx.stx_mtime.tv_sec;
+  out->st_mtim.tv_nsec = stx.stx_mtime.tv_nsec;
+  return true;
+}
+
+int scenario_statx(const char* path) {
+  // statx by path must describe the same file as stat; on an open fd,
+  // statx and fstatat with AT_EMPTY_PATH must describe the same file as
+  // fstat — not the shadow behind a routed fd.
+  struct stat st;
+  if (stat(path, &st) != 0) return fail("stat");
+  struct statx stx;
+  struct stat got;
+  memset(&stx, 0xAA, sizeof stx);
+  if (statx(AT_FDCWD, path, 0, STATX_BASIC_STATS, &stx) != 0) {
+    return fail("statx path");
+  }
+  if (!statx_as_stat(stx, &got) || !same_file(st, got, "statx path")) return 1;
+
+  const int fd = open(path, O_RDONLY);
+  if (fd < 0) return fail("open");
+  struct stat fst;
+  if (fstat(fd, &fst) != 0) return fail("fstat");
+  if (!same_file(st, fst, "fstat")) return 1;
+  memset(&got, 0xAA, sizeof got);
+  if (fstatat(fd, "", &got, AT_EMPTY_PATH) != 0) return fail("fstatat fd");
+  if (!same_file(fst, got, "fstatat fd")) return 1;
+  memset(&stx, 0xAA, sizeof stx);
+  if (statx(fd, "", AT_EMPTY_PATH, STATX_BASIC_STATS, &stx) != 0) {
+    return fail("statx fd");
+  }
+  if (!statx_as_stat(stx, &got) || !same_file(fst, got, "statx fd")) return 1;
+  if (close(fd) != 0) return fail("close");
+  printf("%lld\n", static_cast<long long>(st.st_size));
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -518,6 +589,7 @@ int main(int argc, char** argv) {
   if (scenario == "fcntl") return scenario_fcntl(path);
   if (scenario == "mtime") return scenario_mtime(path);
   if (scenario == "umask") return scenario_umask(path);
+  if (scenario == "statx") return scenario_statx(path);
   fprintf(stderr, "unknown scenario %s\n", scenario.c_str());
   return 2;
 }

@@ -1,11 +1,17 @@
-// End-to-end LD_PRELOAD tests: spawn an unmodified POSIX binary (the
-// "victim") with libldplfs.so preloaded and a temp mount configured, then
-// verify from outside that containers were created and logical contents
-// match. These are the executable form of the paper's core claim — no
-// application modification needed.
+// End-to-end tests of both interposition front-ends: spawn an unmodified
+// POSIX binary (the "victim") with a temp mount configured, then verify from
+// outside that containers were created and logical contents match. These
+// are the executable form of the paper's core claim — no application
+// modification needed.
 //
-// Build passes -DLDPLFS_PRELOAD_LIB / -DLDPLFS_VICTIM_BIN with the artifact
-// paths.
+// Each scenario is written once and runs under both front-ends (see
+// FRONT_END_TEST): Preload<Suite>.<Name> runs preload_victim under
+// LD_PRELOAD=libldplfs.so, and Wrap<Suite>.<Name> runs wrap_victim, the
+// same source linked with libldplfs_wrap.a and its -Wl,--wrap flags (the
+// paper's answer for systems without dynamic loading).
+//
+// Build passes -DLDPLFS_PRELOAD_LIB / -DLDPLFS_VICTIM_BIN /
+// -DLDPLFS_WRAP_VICTIM_BIN with the artifact paths.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -24,16 +30,35 @@ namespace {
 
 using ldplfs::testing::TempDir;
 
+/// How a victim reaches LDPLFS: which binary runs, and what LD_PRELOAD is.
+struct FrontEnd {
+  const char* victim;
+  const char* preload;  // nullptr: LD_PRELOAD unset
+};
+
+constexpr FrontEnd kPreload{LDPLFS_VICTIM_BIN, LDPLFS_PRELOAD_LIB};
+constexpr FrontEnd kWrap{LDPLFS_WRAP_VICTIM_BIN, nullptr};
+constexpr FrontEnd kNoShim{LDPLFS_VICTIM_BIN, nullptr};
+
+/// Defines the body of scenario `Name` once and registers it under both
+/// front-ends, as Preload<Suite>.Name and Wrap<Suite>.Name. The body sees
+/// the front-end as `fe`.
+#define FRONT_END_TEST(Suite, Name)                          \
+  void Suite##_##Name(const FrontEnd& fe);                   \
+  TEST(Preload##Suite, Name) { Suite##_##Name(kPreload); }   \
+  TEST(Wrap##Suite, Name) { Suite##_##Name(kWrap); }         \
+  void Suite##_##Name(const FrontEnd& fe)
+
 struct RunResult {
   int exit_code = -1;
   std::string stdout_text;
   std::string stderr_text;
 };
 
-/// Run the victim with given scenario/path; `preload` toggles libldplfs.
+/// Run the victim of `fe` with the given scenario/path over `mount`.
 /// `extra_env` entries are NAME=VALUE pairs set in the child only.
-RunResult run_victim(const std::string& scenario, const std::string& path,
-                     const std::string& mount, bool preload = true,
+RunResult run_victim(const FrontEnd& fe, const std::string& scenario,
+                     const std::string& path, const std::string& mount,
                      const std::vector<std::pair<std::string, std::string>>&
                          extra_env = {}) {
   int out_pipe[2];
@@ -49,18 +74,17 @@ RunResult run_victim(const std::string& scenario, const std::string& path,
     ::close(out_pipe[1]);
     ::close(err_pipe[0]);
     ::close(err_pipe[1]);
-    if (preload) {
-      ::setenv("LD_PRELOAD", LDPLFS_PRELOAD_LIB, 1);
-      ::setenv("LDPLFS_MOUNTS", mount.c_str(), 1);
+    if (fe.preload != nullptr) {
+      ::setenv("LD_PRELOAD", fe.preload, 1);
     } else {
       ::unsetenv("LD_PRELOAD");
-      ::unsetenv("LDPLFS_MOUNTS");
     }
+    ::setenv("LDPLFS_MOUNTS", mount.c_str(), 1);
     for (const auto& [key, value] : extra_env) {
       ::setenv(key.c_str(), value.c_str(), 1);
     }
-    ::execl(LDPLFS_VICTIM_BIN, LDPLFS_VICTIM_BIN, scenario.c_str(),
-            path.c_str(), static_cast<char*>(nullptr));
+    ::execl(fe.victim, fe.victim, scenario.c_str(), path.c_str(),
+            static_cast<char*>(nullptr));
     _exit(127);
   }
   ::close(out_pipe[1]);
@@ -107,10 +131,10 @@ std::string plfs_content(const std::string& container) {
   return out;
 }
 
-TEST(PreloadE2eTest, WriteCreatesContainerWithCorrectContent) {
+FRONT_END_TEST(E2eTest, WriteCreatesContainerWithCorrectContent) {
   TempDir mount;
   const std::string file = mount.sub("victim.out");
-  const auto result = run_victim("write", file, mount.path());
+  const auto result = run_victim(fe, "write", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   ASSERT_TRUE(ldplfs::plfs::is_container(file));
   EXPECT_EQ(plfs_content(file), "HELLO world!");
@@ -119,7 +143,7 @@ TEST(PreloadE2eTest, WriteCreatesContainerWithCorrectContent) {
 TEST(PreloadE2eTest, WithoutPreloadWritesPlainFile) {
   TempDir mount;
   const std::string file = mount.sub("victim.out");
-  const auto result = run_victim("write", file, mount.path(), false);
+  const auto result = run_victim(kNoShim, "write", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   EXPECT_FALSE(ldplfs::plfs::is_container(file));
   auto content = ldplfs::posix::read_file(file);
@@ -127,7 +151,7 @@ TEST(PreloadE2eTest, WithoutPreloadWritesPlainFile) {
   EXPECT_EQ(content.value(), "HELLO world!");
 }
 
-TEST(PreloadE2eTest, ReadsBackContainerWrittenViaApi) {
+FRONT_END_TEST(E2eTest, ReadsBackContainerWrittenViaApi) {
   TempDir mount;
   const std::string file = mount.sub("api.dat");
   {
@@ -139,119 +163,130 @@ TEST(PreloadE2eTest, ReadsBackContainerWrittenViaApi) {
                     .ok());
     ASSERT_TRUE(ldplfs::plfs::plfs_close(fd.value(), 1).ok());
   }
-  const auto result = run_victim("read", file, mount.path());
+  const auto result = run_victim(fe, "read", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   EXPECT_EQ(result.stdout_text, "written by the PLFS API directly");
 }
 
-TEST(PreloadE2eTest, StdioRoundTripThroughFopencookie) {
+FRONT_END_TEST(E2eTest, StdioRoundTripThroughFopencookie) {
   TempDir mount;
   const std::string file = mount.sub("stdio.txt");
-  const auto result = run_victim("stdio", file, mount.path());
+  const auto result = run_victim(fe, "stdio", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   EXPECT_TRUE(ldplfs::plfs::is_container(file));
   EXPECT_EQ(plfs_content(file), "stdio line one\nvalue=42\n");
 }
 
-TEST(PreloadE2eTest, StatReportsLogicalSize) {
+FRONT_END_TEST(E2eTest, StatReportsLogicalSize) {
   TempDir mount;
   const std::string file = mount.sub("s.dat");
-  ASSERT_EQ(run_victim("write", file, mount.path()).exit_code, 0);
-  const auto result = run_victim("stat", file, mount.path());
+  ASSERT_EQ(run_victim(fe, "write", file, mount.path()).exit_code, 0);
+  const auto result = run_victim(fe, "stat", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   EXPECT_EQ(result.stdout_text, "12\n");
 }
 
-TEST(PreloadE2eTest, Stat64FamilyReportsLogicalSize) {
+FRONT_END_TEST(E2eTest, Stat64FamilyReportsLogicalSize) {
   // stat64/fstatat64 used to alias the caller's stat64 buffer as a struct
   // stat; the victim poisons the buffer and cross-checks all three entry
   // points, so a layout regression shows up as a size/mode mismatch.
   TempDir mount;
   const std::string file = mount.sub("s64.dat");
-  ASSERT_EQ(run_victim("write", file, mount.path()).exit_code, 0);
-  const auto result = run_victim("statat64", file, mount.path());
+  ASSERT_EQ(run_victim(fe, "write", file, mount.path()).exit_code, 0);
+  const auto result = run_victim(fe, "statat64", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   EXPECT_EQ(result.stdout_text, "12\n");
 }
 
-TEST(PreloadE2eTest, StatAndFstatAgreeOnMtime) {
+FRONT_END_TEST(E2eTest, StatxAndAtEmptyPathDescribeTheContainer) {
+  // statx used to leave stx_ino and stx_dev_* zero, and fstatat/statx with
+  // AT_EMPTY_PATH on a routed fd used to describe its empty shadow. The
+  // victim cross-checks statx, fstatat and fstat against stat.
+  TempDir mount;
+  const std::string file = mount.sub("statx.dat");
+  ASSERT_EQ(run_victim(fe, "write", file, mount.path()).exit_code, 0);
+  const auto result = run_victim(fe, "statx", file, mount.path());
+  EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
+  EXPECT_EQ(result.stdout_text, "12\n");
+}
+
+FRONT_END_TEST(E2eTest, StatAndFstatAgreeOnMtime) {
   // Backdate the container so a stat answering 0, or an fstat answering
   // the current time, cannot pass for its real mtime.
   TempDir mount;
   const std::string file = mount.sub("mtime.dat");
-  ASSERT_EQ(run_victim("write", file, mount.path()).exit_code, 0);
+  ASSERT_EQ(run_victim(fe, "write", file, mount.path()).exit_code, 0);
   backdate_container(file);
-  const auto result = run_victim("mtime", file, mount.path());
+  const auto result = run_victim(fe, "mtime", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
 }
 
-TEST(PreloadE2eTest, CreateHonorsUmask) {
+FRONT_END_TEST(E2eTest, CreateHonorsUmask) {
   TempDir mount;
   const std::string file = mount.sub("umask.dat");
-  const auto result = run_victim("umask", file, mount.path());
+  const auto result = run_victim(fe, "umask", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   auto attr = ldplfs::plfs::plfs_getattr(file);
   ASSERT_TRUE(attr.ok());
   EXPECT_EQ(attr.value().mode & 07777, 0640u);
 }
 
-TEST(PreloadE2eTest, FcntlDupflagsAndAppendOnRoutedFd) {
+FRONT_END_TEST(E2eTest, FcntlDupflagsAndAppendOnRoutedFd) {
   TempDir mount;
   const std::string file = mount.sub("fcntl.dat");
-  const auto result = run_victim("fcntl", file, mount.path());
+  const auto result = run_victim(fe, "fcntl", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   EXPECT_TRUE(ldplfs::plfs::is_container(file));
   EXPECT_EQ(plfs_content(file), "0123456789END");
 }
 
-TEST(PreloadE2eTest, UnlinkRemovesContainer) {
+FRONT_END_TEST(E2eTest, UnlinkRemovesContainer) {
   TempDir mount;
   const std::string file = mount.sub("u.dat");
-  ASSERT_EQ(run_victim("write", file, mount.path()).exit_code, 0);
+  ASSERT_EQ(run_victim(fe, "write", file, mount.path()).exit_code, 0);
   ASSERT_TRUE(ldplfs::plfs::is_container(file));
-  const auto result = run_victim("unlink", file, mount.path());
+  const auto result = run_victim(fe, "unlink", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   EXPECT_FALSE(ldplfs::posix::exists(file));
 }
 
-TEST(PreloadE2eTest, PositionalIoDupAndAppend) {
+FRONT_END_TEST(E2eTest, PositionalIoDupAndAppend) {
   TempDir mount;
-  const auto result =
-      run_victim("pread", mount.sub("p.dat"), mount.path());
+  const auto result = run_victim(fe, "pread", mount.sub("p.dat"), mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
 }
 
-TEST(PreloadE2eTest, EightMiBBlockStream) {
+FRONT_END_TEST(E2eTest, EightMiBBlockStream) {
   TempDir mount;
   const std::string file = mount.sub("big.dat");
-  const auto result = run_victim("bigblocks", file, mount.path());
+  const auto result = run_victim(fe, "bigblocks", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   auto attr = ldplfs::plfs::plfs_getattr(file);
   ASSERT_TRUE(attr.ok());
   EXPECT_EQ(attr.value().size, 4ull * (8u << 20));
 }
 
-TEST(PreloadE2eTest, VectoredIoThroughShim) {
+FRONT_END_TEST(E2eTest, VectoredIoThroughShim) {
   TempDir mount;
   const std::string file = mount.sub("v.dat");
-  const auto result = run_victim("vectored", file, mount.path());
+  const auto result = run_victim(fe, "vectored", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   EXPECT_EQ(plfs_content(file), "alpha-bravo-charlie");
 }
 
-TEST(PreloadE2eTest, StdioExclusiveHonorsModeModifiers) {
+FRONT_END_TEST(E2eTest, StdioExclusiveHonorsModeModifiers) {
   // fopen("wx") on an existing container must fail EEXIST without
   // truncating; "b"/"e" modifiers must be accepted. The victim asserts the
   // mode semantics itself; we assert the surviving content from outside.
   TempDir mount;
   const std::string file = mount.sub("excl.txt");
-  const auto result = run_victim("stdio_excl", file, mount.path());
+  const auto result = run_victim(fe, "stdio_excl", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   EXPECT_TRUE(ldplfs::plfs::is_container(file));
   EXPECT_EQ(plfs_content(file), "first\nsecond\n");
 }
 
-TEST(PreloadE2eTest, StatsDumpMatchesIssuedOps) {
+FRONT_END_TEST(E2eTest, StatsDumpMatchesIssuedOps) {
   // LDPLFS_STATS=/path.json on an unmodified victim: the exit-time dump's
   // routed-op counts and byte totals must equal exactly what the victim
   // issued (scenario "write": 1 open, 3 writes totalling 17 bytes, 1 lseek,
@@ -259,8 +294,8 @@ TEST(PreloadE2eTest, StatsDumpMatchesIssuedOps) {
   TempDir mount;
   TempDir scratch;
   const std::string dump = scratch.sub("stats.json");
-  const auto result = run_victim("write", mount.sub("s.out"), mount.path(),
-                                 true, {{"LDPLFS_STATS", dump}});
+  const auto result = run_victim(fe, "write", mount.sub("s.out"),
+                                 mount.path(), {{"LDPLFS_STATS", dump}});
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   auto body = ldplfs::posix::read_file(dump);
   ASSERT_TRUE(body.ok());
@@ -274,11 +309,11 @@ TEST(PreloadE2eTest, StatsDumpMatchesIssuedOps) {
   }
 }
 
-TEST(PreloadE2eTest, FileOutsideMountIsUntouched) {
+FRONT_END_TEST(E2eTest, FileOutsideMountIsUntouched) {
   TempDir mount;
   TempDir outside;
   const std::string file = outside.sub("plain.out");
-  const auto result = run_victim("write", file, mount.path());
+  const auto result = run_victim(fe, "write", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   EXPECT_FALSE(ldplfs::plfs::is_container(file));
   auto content = ldplfs::posix::read_file(file);
@@ -310,53 +345,53 @@ void make_log_container(const std::string& path, const std::string& a,
   ASSERT_TRUE(ldplfs::plfs::plfs_close(fd.value(), 2).ok());
 }
 
-TEST(PreloadMmapTest, FlattenedContainerGetsRealMapping) {
+FRONT_END_TEST(MmapTest, FlattenedContainerGetsRealMapping) {
   TempDir mount;
   const std::string file = mount.sub("flat.dat");
   const std::string content = "mapped straight from the dropping\n";
   make_flat_container(file, content);
-  const auto result = run_victim("mmap_cat", file, mount.path());
+  const auto result = run_victim(fe, "mmap_cat", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   EXPECT_EQ(result.stderr_text, "MMAP_SERVED\n");
   EXPECT_EQ(result.stdout_text, content);
 }
 
-TEST(PreloadMmapTest, LogContainerRefusalFallsBackToReadLikeGrep) {
+FRONT_END_TEST(MmapTest, LogContainerRefusalFallsBackToReadLikeGrep) {
   // The regression the deterministic ENODEV exists for: a GNU-grep-style
   // caller must see the refusal, fall back to read(2), and still get the
   // right logical bytes.
   TempDir mount;
   const std::string file = mount.sub("log.dat");
   make_log_container(file, "first dropping, ", "second dropping");
-  const auto result = run_victim("mmap_cat", file, mount.path());
+  const auto result = run_victim(fe, "mmap_cat", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   EXPECT_EQ(result.stderr_text, "MMAP_FALLBACK\n");
   EXPECT_EQ(result.stdout_text, "first dropping, second dropping");
 }
 
-TEST(PreloadMmapTest, MappingSurvivesFdClose) {
+FRONT_END_TEST(MmapTest, MappingSurvivesFdClose) {
   TempDir mount;
   const std::string file = mount.sub("flat.dat");
   const std::string content = "pages outlive the fd\n";
   make_flat_container(file, content);
-  const auto result = run_victim("mmap_after_close", file, mount.path());
+  const auto result = run_victim(fe, "mmap_after_close", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   EXPECT_EQ(result.stdout_text, content);
 }
 
-TEST(PreloadMmapTest, MapAtPageOffsetIsNotTruncated) {
+FRONT_END_TEST(MmapTest, MapAtPageOffsetIsNotTruncated) {
   // mmap64's offset must reach the dropping untruncated (the old route
   // through mmap cast it to off_t); a second-page map must see page two.
   TempDir mount;
   const std::string file = mount.sub("paged.dat");
   const std::string content = std::string(4096, 'A') + std::string(4096, 'B');
   make_flat_container(file, content);
-  const auto result = run_victim("mmap_offset", file, mount.path());
+  const auto result = run_victim(fe, "mmap_offset", file, mount.path());
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   EXPECT_EQ(result.stdout_text, std::string(4096, 'B'));
 }
 
-TEST(PreloadZeroCopyTest, CopyFileRangeAndSendfileOutOfFlatContainer) {
+FRONT_END_TEST(ZeroCopyTest, CopyFileRangeAndSendfileOutOfFlatContainer) {
   TempDir mount;
   TempDir scratch;
   const std::string file = mount.sub("src.dat");
@@ -364,7 +399,7 @@ TEST(PreloadZeroCopyTest, CopyFileRangeAndSendfileOutOfFlatContainer) {
   make_flat_container(file, content);
   const std::string dump = scratch.sub("stats.json");
   const auto result = run_victim(
-      "copy_out", file, mount.path(), true,
+      fe, "copy_out", file, mount.path(),
       {{"VICTIM_DEST", scratch.sub("out")}, {"LDPLFS_STATS", dump}});
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   for (const char* suffix : {".cfr", ".sf"}) {
@@ -380,7 +415,7 @@ TEST(PreloadZeroCopyTest, CopyFileRangeAndSendfileOutOfFlatContainer) {
       << body.value();
 }
 
-TEST(PreloadZeroCopyTest, LogContainerCopiesThroughEmulation) {
+FRONT_END_TEST(ZeroCopyTest, LogContainerCopiesThroughEmulation) {
   // Non-flat input keeps the emulated loop — correctness over speed.
   TempDir mount;
   TempDir scratch;
@@ -388,7 +423,7 @@ TEST(PreloadZeroCopyTest, LogContainerCopiesThroughEmulation) {
   make_log_container(file, "part one and ", "part two");
   const std::string dump = scratch.sub("stats.json");
   const auto result = run_victim(
-      "copy_out", file, mount.path(), true,
+      fe, "copy_out", file, mount.path(),
       {{"VICTIM_DEST", scratch.sub("out")}, {"LDPLFS_STATS", dump}});
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   for (const char* suffix : {".cfr", ".sf"}) {
